@@ -2,11 +2,10 @@
 //! what one neighbor costs scored from scratch versus patched from the
 //! base design's cached [`moela_manycore::EvalState`], per move kind.
 //!
-//! The full-evaluation side runs with the routing cache disabled so it
-//! prices a genuinely fresh topology per move (a rewire chain never
-//! revisits a fingerprint); the delta side includes the classification
-//! diff ([`MoveDelta::between`]), so both sides measure the whole cost
-//! their code path pays inside a hill-climbing loop.
+//! The full-evaluation side builds a fresh routing table per move; the
+//! delta side includes the classification diff ([`MoveDelta::between`]),
+//! so both sides measure the whole cost their code path pays inside a
+//! hill-climbing loop.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use rand::rngs::StdRng;
@@ -26,8 +25,7 @@ fn bench_delta_eval(c: &mut Criterion) {
     let problem = ManycoreProblem::new(config.clone(), workload.clone(), ObjectiveSet::Five)
         .expect("paper platform");
     let thermal = FastThermalModel::new(config.thermal().clone());
-    let mut cold = Evaluator::new(*config.dims(), *config.noc(), workload.clone(), thermal.clone());
-    cold.set_routing_cache_capacity(0);
+    let cold = Evaluator::new(*config.dims(), *config.noc(), workload.clone(), thermal.clone());
     let warm = Evaluator::new(*config.dims(), *config.noc(), workload, thermal);
 
     let mut rng = StdRng::seed_from_u64(9);

@@ -5,7 +5,7 @@
 //! [`moela_obs::replay`]) and joins it with the deterministic artifacts
 //! (`trace.json`, `front.json`, the manifest's fitted normalizer) into
 //! `report.json` — convergence telemetry, exact per-phase quantiles,
-//! operator-improvement attribution, cache/fault summaries — plus
+//! operator-improvement attribution, delta/fault summaries — plus
 //! `trace.chrome.json`, a Perfetto-viewable Chrome trace-event export.
 //! Both artifacts are additive: the analysis only ever reads the run
 //! store, so byte-identity guarantees on the deterministic artifacts
@@ -108,7 +108,7 @@ fn phases_value(replay: &RunReplay) -> Value {
 }
 
 /// Per-gauge and per-counter time series on the stitched global
-/// timeline, for plotting convergence and cache behavior over the run.
+/// timeline, for plotting convergence and counter behavior over the run.
 fn trends_value(replay: &RunReplay) -> Value {
     let mut gauges: Vec<(String, Value)> = Vec::new();
     for (name, t_us, value) in &replay.gauge_events {
@@ -183,11 +183,6 @@ pub(crate) fn build_report(dir: &Path) -> Result<(Value, Value), CliError> {
     let replay_evals = replay.counter("evaluations");
     let evals_per_sec = if wall_s > 0.0 { replay_evals as f64 / wall_s } else { 0.0 };
 
-    let cache_hits = replay.counter("cache_hits");
-    let cache_misses = replay.counter("cache_misses");
-    let cache_lookups = cache_hits + cache_misses;
-    let hit_rate = if cache_lookups > 0 { cache_hits as f64 / cache_lookups as f64 } else { 0.0 };
-
     let mut fields = vec![
         (
             "run",
@@ -224,17 +219,6 @@ pub(crate) fn build_report(dir: &Path) -> Result<(Value, Value), CliError> {
             Value::Object(
                 replay.counters.iter().map(|(n, v)| (n.clone(), Value::U64(*v))).collect(),
             ),
-        ),
-        (
-            "cache",
-            Value::object(vec![
-                ("hits", Value::U64(cache_hits)),
-                ("misses", Value::U64(cache_misses)),
-                ("evictions", Value::U64(replay.counter("cache_evictions"))),
-                ("routing_rebuilds", Value::U64(replay.counter("routing_rebuilds"))),
-                ("routing_hits", Value::U64(replay.counter("routing_hits"))),
-                ("hit_rate", Value::F64(hit_rate)),
-            ]),
         ),
         (
             "delta",

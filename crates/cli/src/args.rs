@@ -4,7 +4,7 @@ use std::time::Duration;
 
 use moela_manycore::ObjectiveSet;
 use moela_moo::fault::{FaultConfig, FaultPolicy};
-use moela_moo::{ChaosSpec, DEFAULT_EVAL_CACHE_CAPACITY};
+use moela_moo::ChaosSpec;
 use moela_obs::LogLevel;
 use moela_traffic::Benchmark;
 
@@ -130,10 +130,6 @@ pub struct RunOptions {
     /// Re-evaluation attempts per faulted candidate before the policy
     /// applies.
     pub eval_retries: u32,
-    /// Evaluation-cache capacity in memoized designs (`0` = caching
-    /// off, including topology-keyed routing reuse). Results are
-    /// bit-identical for every value.
-    pub eval_cache: usize,
     /// Incremental move evaluation: score a neighbor by patching the
     /// base design's cached evaluation state instead of re-evaluating
     /// from scratch, falling back to full evaluation whenever a move
@@ -177,7 +173,6 @@ impl Default for RunOptions {
             crash_after_checkpoints: None,
             fault_policy: FaultPolicy::default(),
             eval_retries: 0,
-            eval_cache: DEFAULT_EVAL_CACHE_CAPACITY,
             eval_delta: true,
             chaos: None,
             chaos_seed: None,
@@ -597,14 +592,6 @@ fn parse_run_options(args: &[String]) -> Result<RunOptions, ArgsError> {
                 opts.eval_retries =
                     value()?.parse().map_err(|_| "--eval-retries needs an integer")?;
             }
-            "--eval-cache" => {
-                let v = value()?;
-                opts.eval_cache = if v.eq_ignore_ascii_case("off") {
-                    0
-                } else {
-                    v.parse().map_err(|_| "--eval-cache needs an integer or 'off'")?
-                };
-            }
             "--eval-delta" => {
                 let v = value()?;
                 opts.eval_delta = if v.eq_ignore_ascii_case("on") {
@@ -697,11 +684,6 @@ COMMON FLAGS:
     --seed <N>                          RNG seed          [11]
     --threads <N>                       evaluation worker threads, 0 = auto;
                                         results are identical for any N [1]
-    --eval-cache <N|off>                memoize up to N evaluated designs
-                                        and reuse routing tables across
-                                        placement-only moves; off disables
-                                        both layers; results are identical
-                                        either way [4096]
     --eval-delta <on|off>               incremental move evaluation: score
                                         a neighbor by patching the base
                                         design's cached evaluation state
@@ -758,7 +740,7 @@ REPORT:
     moela-dse report <DIR> [--log-level L]
     replays DIR/events.jsonl and joins it with the deterministic
     artifacts into DIR/report.json (convergence telemetry, exact phase
-    p50/p90/p99, operator attribution, cache/fault trends) and
+    p50/p90/p99, operator attribution, counter/fault trends) and
     DIR/trace.chrome.json (open at https://ui.perfetto.dev); tolerates
     a torn final event line after SIGKILL
 
@@ -976,29 +958,10 @@ mod tests {
     }
 
     #[test]
-    fn eval_cache_parses_sizes_and_off() {
-        let Command::Run(o) = parse(&argv("run")).expect("ok") else { panic!("expected Run") };
-        assert_eq!(o.eval_cache, DEFAULT_EVAL_CACHE_CAPACITY);
-
-        let Command::Run(o) = parse(&argv("run --eval-cache 128")).expect("ok") else {
-            panic!("expected Run")
-        };
-        assert_eq!(o.eval_cache, 128);
-
-        let Command::Run(o) = parse(&argv("run --eval-cache off")).expect("ok") else {
-            panic!("expected Run")
-        };
-        assert_eq!(o.eval_cache, 0);
-
-        // `0` is an explicit spelling of `off`.
-        let Command::Run(o) = parse(&argv("run --eval-cache 0")).expect("ok") else {
-            panic!("expected Run")
-        };
-        assert_eq!(o.eval_cache, 0);
-
-        let err = parse(&argv("run --eval-cache many")).expect_err("bad value");
+    fn retired_eval_cache_flag_is_an_unknown_flag() {
+        let err = parse(&argv("run --eval-cache off")).expect_err("the flag is gone");
         assert_eq!(err.code, 1);
-        assert!(err.message.contains("--eval-cache"));
+        assert!(err.message.contains("unknown flag '--eval-cache'"), "{}", err.message);
     }
 
     #[test]

@@ -25,7 +25,7 @@ use moela_moo::checkpoint::{CancelToken, Resumable};
 use moela_moo::fault::{FaultLog, FaultPolicy};
 use moela_moo::normalize::Normalizer;
 use moela_moo::run::RunResult;
-use moela_moo::{CachedProblem, ChaosProblem, ChaosSpec, EvalCache, Problem};
+use moela_moo::{ChaosProblem, ChaosSpec, Problem};
 use moela_obs::{JsonlSink, MetricsAggregator, Obs, ProgressReporter, Reporter, SharedSink, Sink};
 use moela_persist::{
     CheckpointStore, PersistError, Restore, RunStore, Snapshot, Value, FORMAT_VERSION,
@@ -146,11 +146,6 @@ pub(crate) fn build_problem(opts: &RunOptions) -> Result<ManycoreProblem, CliErr
     let workload = Workload::synthesize(opts.app, platform.pe_mix(), opts.seed);
     let mut problem = ManycoreProblem::new(platform, workload, opts.set)
         .map_err(|e| fail(format!("cannot build the paper platform: {e}")))?;
-    if opts.eval_cache == 0 {
-        // `--eval-cache off` disables both layers: the design-keyed memo
-        // and the topology-keyed routing-table reuse.
-        problem.set_routing_cache_capacity(0);
-    }
     problem.set_delta_eval(opts.eval_delta);
     Ok(problem)
 }
@@ -229,7 +224,7 @@ impl Telemetry {
 
     /// Renders `metrics.json` from the aggregated events, folding in the
     /// identity and fault counters the retired `health.json` used to
-    /// carry alone, plus the evaluation-cache hit rates.
+    /// carry alone, plus the delta-evaluation counters.
     fn metrics_value(
         &self,
         opts: &RunOptions,
@@ -238,24 +233,13 @@ impl Telemetry {
         base_evals: u64,
     ) -> Option<Value> {
         let aggregator = self.aggregator.as_ref()?;
-        let (rendered, cache) = aggregator
+        let (rendered, [delta_hits, delta_fallbacks]) = aggregator
             .lock()
             .map(|agg| {
-                let counters = [
-                    "cache_hits",
-                    "cache_misses",
-                    "cache_evictions",
-                    "routing_rebuilds",
-                    "routing_hits",
-                    "delta_hits",
-                    "delta_fallbacks",
-                ]
-                .map(|name| agg.counter(name));
+                let counters = ["delta_hits", "delta_fallbacks"].map(|name| agg.counter(name));
                 (agg.render(), counters)
             })
             .ok()?;
-        let [cache_hits, cache_misses, cache_evictions, routing_rebuilds, routing_hits, delta_hits, delta_fallbacks] =
-            cache;
         let mut fields = vec![
             ("algorithm", Value::Str(opts.algorithm.name().to_owned())),
             ("app", Value::Str(opts.app.name().to_owned())),
@@ -281,18 +265,6 @@ impl Telemetry {
                     ("recovered", Value::U64(log.recovered)),
                     ("penalized", Value::U64(log.penalized)),
                     ("skipped", Value::U64(log.skipped)),
-                ]),
-            ),
-            (
-                "cache",
-                Value::object(vec![
-                    ("enabled", Value::Bool(opts.eval_cache > 0)),
-                    ("capacity", Value::U64(opts.eval_cache as u64)),
-                    ("hits", Value::U64(cache_hits)),
-                    ("misses", Value::U64(cache_misses)),
-                    ("evictions", Value::U64(cache_evictions)),
-                    ("routing_rebuilds", Value::U64(routing_rebuilds)),
-                    ("routing_hits", Value::U64(routing_hits)),
                 ]),
             ),
             (
@@ -452,16 +424,12 @@ where
 }
 
 /// Builds the selected optimizer (fresh, or restored from a checkpoint)
-/// and drives it to completion — against the bare manycore problem, a
-/// memoizing [`CachedProblem`] wrapper (`--eval-cache`, on by default),
-/// and/or a seeded [`ChaosProblem`] wrapper when `--chaos` fault
-/// injection is configured. Under chaos the cache sits *below* the
-/// injector (`Chaos(Cached(problem))`) so faulted evaluations are never
-/// admitted and the fault stream consumes ordinals identically with the
-/// cache on or off.
+/// and drives it to completion — against the bare manycore problem, or
+/// a seeded [`ChaosProblem`] wrapper when `--chaos` fault injection is
+/// configured.
 ///
-/// After the run, cache and routing-reuse counters are emitted through
-/// the obs pipeline so `metrics.json` records hit rates — write-only
+/// After the run, the routing-build and delta counters are emitted
+/// through the obs pipeline so `metrics.json` records them — write-only
 /// telemetry that never feeds back into the optimizer.
 pub(crate) fn execute(
     opts: &RunOptions,
@@ -472,17 +440,16 @@ pub(crate) fn execute(
     telemetry: &mut Telemetry,
     hooks: &ExecHooks<'_>,
 ) -> Result<Driven, CliError> {
-    let cache = (opts.eval_cache > 0).then(|| Arc::new(EvalCache::new(opts.eval_cache)));
     // The problem's routing and delta counters are cumulative over the
     // problem's lifetime, which is longer than this run: the corpus
     // normalizer evaluates 200 designs before `execute` is ever called,
     // and `compare` (or a serve worker reusing a problem) drives several
     // executions over one problem. Snapshot at entry and emit only the
     // difference so every run's metrics.json counts its own work alone.
-    let (base_rebuilds, base_routing_hits) = problem.routing_stats();
+    let base_rebuilds = problem.routing_rebuilds();
     let (base_delta_hits, base_delta_fallbacks) = problem.delta_stats();
-    let outcome = match (opts.chaos, &cache) {
-        (None, None) => execute_on(
+    let outcome = match opts.chaos {
+        None => execute_on(
             opts,
             problem,
             problem,
@@ -493,21 +460,7 @@ pub(crate) fn execute(
             telemetry,
             hooks,
         ),
-        (None, Some(cache)) => {
-            let cached = CachedProblem::new(problem, Arc::clone(cache));
-            execute_on(
-                opts,
-                &cached,
-                problem,
-                normalizer,
-                persistence,
-                resume,
-                None,
-                telemetry,
-                hooks,
-            )
-        }
-        (Some(spec), cache) => {
+        Some(spec) => {
             // A chaos spec without its seed can only arrive through a
             // manifest or job spec that bypassed argument validation;
             // refuse it as the user error it is instead of panicking.
@@ -517,58 +470,30 @@ pub(crate) fn execute(
                      injected faults are reproducible",
                 ));
             };
-            if let Some(cache) = cache {
-                let cached = CachedProblem::new(problem, Arc::clone(cache));
-                let chaotic = ChaosProblem::new(cached, spec, seed);
-                if let Some((point, _)) = &resume {
-                    // Replay the fault stream from the checkpointed
-                    // ordinal; a pre-chaos checkpoint starts at zero.
-                    chaotic.set_ordinal(point.chaos_ordinal.unwrap_or(0));
-                }
-                let ordinal = || chaotic.ordinal();
-                execute_on(
-                    opts,
-                    &chaotic,
-                    problem,
-                    normalizer,
-                    persistence,
-                    resume,
-                    Some(&ordinal),
-                    telemetry,
-                    hooks,
-                )
-            } else {
-                let chaotic = ChaosProblem::new(problem, spec, seed);
-                if let Some((point, _)) = &resume {
-                    chaotic.set_ordinal(point.chaos_ordinal.unwrap_or(0));
-                }
-                let ordinal = || chaotic.ordinal();
-                execute_on(
-                    opts,
-                    &chaotic,
-                    problem,
-                    normalizer,
-                    persistence,
-                    resume,
-                    Some(&ordinal),
-                    telemetry,
-                    hooks,
-                )
+            let chaotic = ChaosProblem::new(problem, spec, seed);
+            if let Some((point, _)) = &resume {
+                // Replay the fault stream from the checkpointed ordinal;
+                // a pre-chaos checkpoint starts at zero.
+                chaotic.set_ordinal(point.chaos_ordinal.unwrap_or(0));
             }
+            let ordinal = || chaotic.ordinal();
+            execute_on(
+                opts,
+                &chaotic,
+                problem,
+                normalizer,
+                persistence,
+                resume,
+                Some(&ordinal),
+                telemetry,
+                hooks,
+            )
         }
     };
-    let (rebuilds, routing_hits) = problem.routing_stats();
-    telemetry.obs.counter("routing_rebuilds", rebuilds - base_rebuilds);
-    telemetry.obs.counter("routing_hits", routing_hits - base_routing_hits);
+    telemetry.obs.counter("routing_rebuilds", problem.routing_rebuilds() - base_rebuilds);
     let (delta_hits, delta_fallbacks) = problem.delta_stats();
     telemetry.obs.counter("delta_hits", delta_hits - base_delta_hits);
     telemetry.obs.counter("delta_fallbacks", delta_fallbacks - base_delta_fallbacks);
-    if let Some(cache) = &cache {
-        let stats = cache.stats();
-        telemetry.obs.counter("cache_hits", stats.hits);
-        telemetry.obs.counter("cache_misses", stats.misses);
-        telemetry.obs.counter("cache_evictions", stats.evictions);
-    }
     outcome
 }
 
@@ -773,7 +698,6 @@ pub(crate) fn manifest_value(opts: &RunOptions, normalizer: &Normalizer) -> Valu
         ("checkpoint_every", Value::U64(opts.checkpoint_every)),
         ("fault_policy", Value::Str(opts.fault_policy.name().to_owned())),
         ("eval_retries", Value::U64(u64::from(opts.eval_retries))),
-        ("eval_cache", Value::U64(opts.eval_cache as u64)),
         ("eval_delta", Value::Bool(opts.eval_delta)),
     ];
     if let Some(spec) = &opts.chaos {
@@ -818,12 +742,9 @@ pub(crate) fn options_from_manifest(m: &Value) -> Result<(RunOptions, Normalizer
         Some(v) => v.as_u64()? as u32,
         None => 0,
     };
-    // Manifests written before the evaluation cache existed resume with
-    // today's default — results are bit-identical at any capacity.
-    let eval_cache = match m.field_opt("eval_cache") {
-        Some(v) => v.as_usize()?,
-        None => RunOptions::default().eval_cache,
-    };
+    // Manifests from builds with the retired `--eval-cache` flag still
+    // carry an `eval_cache` key; it never changed results, so it is
+    // ignored.
     // Manifests written before delta evaluation existed resume with
     // today's default — the fast path is bit-identical to full
     // evaluation, so the choice never changes resumed artifacts.
@@ -856,7 +777,6 @@ pub(crate) fn options_from_manifest(m: &Value) -> Result<(RunOptions, Normalizer
         checkpoint_every: m.field("checkpoint_every")?.as_u64()?,
         fault_policy,
         eval_retries,
-        eval_cache,
         eval_delta,
         chaos,
         chaos_seed,

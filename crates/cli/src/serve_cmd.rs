@@ -39,6 +39,8 @@ const SPEC_KEYS: [&str; 16] = [
     "checkpoint_every",
     "fault_policy",
     "eval_retries",
+    // Retired with the `--eval-cache` flag: accepted so older specs
+    // still submit, and its value is ignored.
     "eval_cache",
     "eval_delta",
     "chaos",
@@ -118,9 +120,6 @@ fn spec_to_options(spec: &Value, default_checkpoint_every: u64) -> Result<RunOpt
     if let Some(n) = u64_field("eval_retries")? {
         opts.eval_retries = n as u32;
     }
-    if let Some(n) = u64_field("eval_cache")? {
-        opts.eval_cache = n as usize;
-    }
     if let Some(v) = spec.field_opt("eval_delta") {
         opts.eval_delta =
             v.as_bool().map_err(|_| "spec key 'eval_delta' must be a boolean".to_owned())?;
@@ -176,7 +175,6 @@ fn normalized_spec(opts: &RunOptions) -> Value {
         ("checkpoint_every", Value::U64(opts.checkpoint_every)),
         ("fault_policy", Value::Str(opts.fault_policy.name().to_owned())),
         ("eval_retries", Value::U64(u64::from(opts.eval_retries))),
-        ("eval_cache", Value::U64(opts.eval_cache as u64)),
         ("eval_delta", Value::Bool(opts.eval_delta)),
     ];
     if let Some(spec) = &opts.chaos {
@@ -295,6 +293,7 @@ pub(crate) fn serve(opts: &ServeOptions) -> Result<(), CliError> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use moela_serve::{JobManager, JobState, ServerMetrics, SupervisePolicy};
 
     #[test]
     fn specs_reject_unknown_keys_and_bad_values() {
@@ -363,5 +362,54 @@ mod tests {
         );
         // And the normalized spec (now carrying timeout_s) revalidates.
         runner.validate(&normalized).expect("normalized specs revalidate");
+    }
+
+    #[test]
+    fn specs_with_the_retired_eval_cache_key_are_accepted_and_run() {
+        let fields = |eval_cache: Option<u64>| {
+            let mut fields = vec![
+                ("app", Value::Str("BFS".into())),
+                ("objectives", Value::U64(3)),
+                ("algorithm", Value::Str("moela".into())),
+                ("budget", Value::U64(120)),
+                ("population", Value::U64(8)),
+                ("seed", Value::U64(7)),
+            ];
+            fields.extend(eval_cache.map(|n| ("eval_cache", Value::U64(n))));
+            Value::object(fields)
+        };
+        let spec = fields(Some(4096));
+        assert_eq!(
+            spec_to_options(&spec, 1).expect("the retired key is accepted"),
+            spec_to_options(&fields(None), 1).expect("plain spec"),
+            "the retired key's value is ignored"
+        );
+
+        let root =
+            std::env::temp_dir().join(format!("moela-serve-cmd-eval-cache-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&root);
+        let manager = JobManager::start(
+            root.clone(),
+            1,
+            1,
+            SupervisePolicy::default(),
+            Arc::new(DseRunner { default_checkpoint_every: 1 }),
+            Arc::new(ServerMetrics::new()),
+        )
+        .expect("start manager");
+        let record = manager.submit(&spec).expect("submit");
+        let deadline = std::time::Instant::now() + Duration::from_secs(300);
+        while record.state() != JobState::Done {
+            let state = record.state();
+            assert!(
+                matches!(state, JobState::Queued | JobState::Running),
+                "job ended {state:?}: {:?}",
+                record.error()
+            );
+            assert!(std::time::Instant::now() < deadline, "job never finished");
+            std::thread::sleep(Duration::from_millis(20));
+        }
+        manager.drain();
+        let _ = std::fs::remove_dir_all(&root);
     }
 }

@@ -174,14 +174,13 @@ fn metrics_json_reports_phases_throughput_and_faults() {
         "\"phv_per_generation\":",
         "\"faults\":",
         "\"resume\":",
-        "\"cache\":",
         "\"hits\":",
-        "\"misses\":",
-        "\"evictions\":",
         "\"routing_rebuilds\":",
-        "\"routing_hits\":",
     ] {
         assert!(text.contains(key), "metrics.json lacks {key}: {text}");
+    }
+    for retired in ["\"cache\":", "\"routing_hits\":", "\"cache_"] {
+        assert!(!text.contains(retired), "metrics.json still carries {retired}: {text}");
     }
     let _ = fs::remove_dir_all(&dir);
 }

@@ -237,6 +237,27 @@ fn resume_refuses_a_future_checkpoint_format() {
     let _ = fs::remove_dir_all(&crashed);
 }
 
+/// Manifests written while the `--eval-cache` flag existed carry an
+/// `eval_cache` key; resume accepts and ignores it.
+#[test]
+fn resume_ignores_the_retired_eval_cache_manifest_key() {
+    let (full, crashed) = crashed_run_pair("eval-cache-key");
+    let manifest = crashed.join("manifest.json");
+    let text = String::from_utf8(read(&manifest)).expect("manifest is UTF-8");
+    assert!(!text.contains("eval_cache"), "new manifests no longer record it: {text}");
+    assert!(text.contains("\"format\":1,"), "manifest format field moved? {text}");
+    fs::write(&manifest, text.replace("\"format\":1,", "\"format\":1,\"eval_cache\":4096,"))
+        .expect("rewrite manifest");
+
+    let out = moela_dse(&["resume", crashed.to_str().expect("utf-8 path")]);
+    assert!(out.status.success(), "resume failed: {}", stderr_of(&out));
+    for file in ["trace.csv", "front.csv"] {
+        assert_eq!(read(&full.join(file)), read(&crashed.join(file)), "{file} differs");
+    }
+    let _ = fs::remove_dir_all(&full);
+    let _ = fs::remove_dir_all(&crashed);
+}
+
 #[test]
 fn version_subcommand_prints_the_build_version() {
     for spelling in ["version", "--version", "-V"] {

@@ -29,7 +29,7 @@
 //! evaluation — never to an approximation.
 
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
 use moela_thermal::PowerGrid;
 use moela_traffic::edp::NetworkStats;
@@ -498,24 +498,11 @@ impl Evaluator {
         }
         st.design.topology.replace_link(victim_idx, new_link);
 
-        // Routing: shared cache first (a revisited topology), else exact
-        // incremental repair, admitted back into the cache.
+        // Routing: exact incremental repair of the affected source rows.
         let new_cost = params.router_stages + new_link.length(dims) * params.link_delay_per_unit;
         let affected_src = base.table.rewire_affected_sources(victim_idx, new_link, new_cost);
-        let cache = self.routing_cache();
-        st.table = match cache.lookup(&st.design.topology) {
-            Some(table) => table,
-            None => {
-                let table = Arc::new(base.table.repair_rewire(
-                    dims,
-                    &st.design.topology,
-                    &affected_src,
-                    params,
-                ));
-                cache.admit(&st.design.topology, Arc::clone(&table));
-                table
-            }
-        };
+        st.table =
+            Arc::new(base.table.repair_rewire(dims, &st.design.topology, &affected_src, params));
 
         // Energy coefficients: the replaced link's length and the degrees
         // of up to four routers change.
@@ -644,13 +631,14 @@ struct DeltaLru {
     tick: u64,
 }
 
-/// The delta-evaluation fast path: a bounded LRU of [`EvalState`]s keyed
-/// by exact design bytes, plus the `delta_hits`/`delta_fallbacks`
-/// counters surfaced in metrics.json and `moela-dse report`.
+/// The delta-evaluation fast path and the workspace's only evaluation
+/// cache: a bounded LRU of [`EvalState`]s keyed by exact design bytes,
+/// plus the `delta_hits`/`delta_fallbacks` counters surfaced in
+/// metrics.json and `moela-dse report`.
 ///
-/// Shared via `Arc` across clones of one problem (like the routing
-/// cache), so a hill climber's accepted design is almost always resident
-/// when its neighbors are scored.
+/// Shared via `Arc` across clones of one problem, so a hill climber's
+/// accepted design is almost always resident when its neighbors are
+/// scored.
 #[derive(Debug)]
 pub struct DeltaEngine {
     capacity: usize,
@@ -681,11 +669,18 @@ impl DeltaEngine {
         self.fallbacks.load(Ordering::Relaxed)
     }
 
+    /// Locks the LRU, recovering from poison: entries are immutable
+    /// states keyed by exact bytes, so a store left behind by a panicking
+    /// thread can only miss, never serve a wrong state.
+    fn lru(&self) -> MutexGuard<'_, DeltaLru> {
+        self.state.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
     fn get(&self, key: &[u8]) -> Option<Arc<EvalState>> {
         if self.capacity == 0 {
             return None;
         }
-        let mut lru = self.state.lock().expect("delta engine poisoned");
+        let mut lru = self.lru();
         lru.tick += 1;
         let tick = lru.tick;
         let entry = lru.entries.iter_mut().find(|(k, _, _)| k == key)?;
@@ -697,7 +692,7 @@ impl DeltaEngine {
         if self.capacity == 0 {
             return;
         }
-        let mut lru = self.state.lock().expect("delta engine poisoned");
+        let mut lru = self.lru();
         lru.tick += 1;
         let tick = lru.tick;
         if lru.entries.iter().any(|(k, _, _)| *k == key) {
@@ -877,6 +872,33 @@ mod tests {
         // resident when the next step diffs against it.
         assert_eq!(engine.fallbacks(), 1);
         assert_eq!(engine.hits(), 10);
+    }
+
+    #[test]
+    fn poisoned_engine_recovers_and_stays_exact() {
+        let (ev, builder, design, mut rng) = setup();
+        let engine = DeltaEngine::new(DEFAULT_DELTA_CACHE_CAPACITY);
+        let next = moves::rewire_link(ev.dims(), &builder, 7, &design, &mut rng);
+        assert_eq!(engine.evaluate_neighbor(&ev, &design, &next), ev.evaluate(&next));
+        std::thread::scope(|s| {
+            let poisoner = s.spawn(|| {
+                let _guard = engine.state.lock().expect("first lock");
+                panic!("poison the delta engine");
+            });
+            assert!(poisoner.join().is_err(), "the poisoning thread must panic");
+        });
+        assert!(engine.state.is_poisoned());
+        let after =
+            moves::random_move(ev.dims(), ev.workload().mix(), &builder, 7, &next, &mut rng);
+        for (base, n) in [(&design, &next), (&next, &after)] {
+            let got = engine.evaluate_neighbor(&ev, base, n);
+            let want = ev.evaluate(n);
+            assert_eq!(
+                got.objectives(ObjectiveSet::Five).iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
+                want.objectives(ObjectiveSet::Five).iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
+            );
+            assert_eq!(got, want);
+        }
     }
 
     #[test]

@@ -54,7 +54,6 @@ pub mod objectives;
 pub mod params;
 pub mod problem;
 pub mod routing;
-pub mod routing_cache;
 pub mod topology;
 pub mod viz;
 
@@ -65,7 +64,6 @@ pub use link::{Link, LinkKind};
 pub use objectives::{Evaluation, ObjectiveSet};
 pub use params::NocParams;
 pub use problem::{BuildConfigError, ManycoreProblem, PlatformConfig};
-pub use routing_cache::{RoutingCache, DEFAULT_ROUTING_CACHE_CAPACITY};
 pub use topology::Topology;
 
 // Re-exported so downstream users of the platform model see one coherent

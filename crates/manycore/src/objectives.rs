@@ -1,5 +1,6 @@
 //! The five design objectives of §III and their evaluator.
 
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use moela_thermal::{FastThermalModel, PowerGrid};
@@ -10,7 +11,6 @@ use crate::design::Design;
 use crate::geometry::GridDims;
 use crate::params::NocParams;
 use crate::routing::RoutingTable;
-use crate::routing_cache::{RoutingCache, DEFAULT_ROUTING_CACHE_CAPACITY};
 
 /// Which of the paper's objective stacks to evaluate.
 ///
@@ -79,17 +79,17 @@ impl Evaluation {
 
 /// Evaluates designs for one `(platform, workload)` pair.
 ///
-/// Routing tables are cached by topology fingerprint in a shared
-/// [`RoutingCache`]: clones of an evaluator (and problems derived from
-/// it) reuse one cache, so placement-only moves skip the all-pairs
-/// Dijkstra rebuild entirely.
+/// Every full evaluation builds its routing table from scratch; cheap
+/// re-scoring of single-move neighbors is the job of
+/// [`crate::delta::DeltaEngine`]. Clones share one counter of full
+/// table builds ([`Evaluator::routing_rebuilds`]).
 #[derive(Clone, Debug)]
 pub struct Evaluator {
     dims: GridDims,
     params: NocParams,
     workload: Workload,
     thermal: FastThermalModel,
-    routing: Arc<RoutingCache>,
+    rebuilds: Arc<AtomicU64>,
 }
 
 impl Evaluator {
@@ -110,13 +110,7 @@ impl Evaluator {
             thermal.params().layers() >= dims.layers(),
             "thermal model covers fewer layers than the grid"
         );
-        Self {
-            dims,
-            params,
-            workload,
-            thermal,
-            routing: Arc::new(RoutingCache::new(DEFAULT_ROUTING_CACHE_CAPACITY)),
-        }
+        Self { dims, params, workload, thermal, rebuilds: Arc::new(AtomicU64::new(0)) }
     }
 
     /// The workload this evaluator scores against.
@@ -124,16 +118,10 @@ impl Evaluator {
         &self.workload
     }
 
-    /// Replaces the routing cache with a fresh one of `capacity` tables
-    /// (0 disables reuse: every evaluation rebuilds its table). Existing
-    /// clones keep the old cache; reconfigure before sharing.
-    pub fn set_routing_cache_capacity(&mut self, capacity: usize) {
-        self.routing = Arc::new(RoutingCache::new(capacity));
-    }
-
-    /// The shared routing cache (for counters: rebuilds/hits).
-    pub fn routing_cache(&self) -> &RoutingCache {
-        &self.routing
+    /// Routing tables built so far (all-pairs Dijkstra passes), summed
+    /// over every clone of this evaluator.
+    pub fn routing_rebuilds(&self) -> u64 {
+        self.rebuilds.load(Ordering::Relaxed)
     }
 
     /// The grid dimensions.
@@ -154,19 +142,19 @@ impl Evaluator {
 
     /// Computes every objective and summary statistic for `design`.
     ///
-    /// Split into two stages: route construction (cached by topology
-    /// fingerprint, see [`Evaluator::routing_for`]) and flow accumulation
-    /// ([`Evaluator::evaluate_with_table`]). Designs differing only in
-    /// placement share a table and skip Dijkstra.
+    /// Split into two stages: route construction
+    /// ([`Evaluator::routing_for`]) and flow accumulation
+    /// ([`Evaluator::evaluate_with_table`]).
     pub fn evaluate(&self, design: &Design) -> Evaluation {
         let table = self.routing_for(design);
         self.evaluate_with_table(design, &table)
     }
 
-    /// Stage 1: the routing table for `design`'s topology, served from
-    /// the shared cache when available.
+    /// Stage 1: builds the routing table for `design`'s topology,
+    /// counting the build in [`Evaluator::routing_rebuilds`].
     pub fn routing_for(&self, design: &Design) -> Arc<RoutingTable> {
-        self.routing.routing_for(&self.dims, &design.topology, &self.params)
+        self.rebuilds.fetch_add(1, Ordering::Relaxed);
+        Arc::new(RoutingTable::build(&self.dims, &design.topology, &self.params))
     }
 
     /// Stage 2: flow accumulation, latency, energy, and thermal scoring
@@ -329,27 +317,15 @@ mod tests {
     }
 
     #[test]
-    fn placement_only_variants_share_one_routing_table() {
+    fn every_evaluation_counts_one_routing_build_across_clones() {
         let ev = evaluator(Benchmark::Hot);
-        for seed in 0..8 {
-            let d = mesh_design(&ev, seed); // same mesh, different placements
-            let _ = ev.evaluate(&d);
-        }
-        assert_eq!(ev.routing_cache().rebuilds(), 1, "one Dijkstra for eight evaluations");
-        assert_eq!(ev.routing_cache().hits(), 7);
-    }
-
-    #[test]
-    fn cached_evaluation_is_bit_identical_to_uncached() {
-        let cached = evaluator(Benchmark::Srad);
-        let mut uncached = evaluator(Benchmark::Srad);
-        uncached.set_routing_cache_capacity(0);
+        let clone = ev.clone();
         for seed in 0..4 {
-            let d = mesh_design(&cached, seed);
-            assert_eq!(cached.evaluate(&d), uncached.evaluate(&d));
+            let d = mesh_design(&ev, seed);
+            let _ = ev.evaluate(&d);
+            let _ = clone.evaluate(&d);
         }
-        assert_eq!(uncached.routing_cache().hits(), 0);
-        assert_eq!(uncached.routing_cache().rebuilds(), 4);
+        assert_eq!(ev.routing_rebuilds(), 8, "clones share one build counter");
     }
 
     fn degenerate_evaluator(mix: PeMix) -> Evaluator {

@@ -388,18 +388,10 @@ impl ManycoreProblem {
         self.evaluator.workload()
     }
 
-    /// Reconfigures the routing-table cache (0 disables reuse). Apply
-    /// before cloning/sharing the problem: clones made earlier keep the
-    /// old cache.
-    pub fn set_routing_cache_capacity(&mut self, capacity: usize) {
-        self.evaluator.set_routing_cache_capacity(capacity);
-    }
-
-    /// Routing-table (rebuilds, cache hits) counters, shared across every
-    /// clone of this problem.
-    pub fn routing_stats(&self) -> (u64, u64) {
-        let cache = self.evaluator.routing_cache();
-        (cache.rebuilds(), cache.hits())
+    /// Routing tables built so far (all-pairs Dijkstra passes), shared
+    /// across every clone of this problem.
+    pub fn routing_rebuilds(&self) -> u64 {
+        self.evaluator.routing_rebuilds()
     }
 
     /// Switches the incremental (delta) move-evaluation fast path on or
@@ -482,9 +474,8 @@ impl Problem for ManycoreProblem {
 
     /// Exact canonical bytes of the design: the placement vector plus the
     /// ordered link list. Two designs share a key iff they are equal
-    /// (`Design: PartialEq` compares the same data), so memoized results
-    /// can never collide. The same bytes key the delta engine's state
-    /// cache.
+    /// (`Design: PartialEq` compares the same data). The same bytes key
+    /// the delta engine's state cache.
     fn cache_key(&self, s: &Design) -> Option<Vec<u8>> {
         Some(delta::design_key(s))
     }
@@ -748,18 +739,6 @@ mod tests {
         assert_ne!(p.cache_key(&a), p.cache_key(&b), "distinct designs get distinct keys");
         let n = p.neighbor(&a, &mut rng);
         assert_ne!(p.cache_key(&a), p.cache_key(&n), "one move changes the key");
-    }
-
-    #[test]
-    fn objective_set_clones_share_the_routing_cache() {
-        let p = paper_problem(ObjectiveSet::Three);
-        let q = p.with_objective_set(ObjectiveSet::Five);
-        let mut rng = rand::rngs::StdRng::seed_from_u64(6);
-        let d = p.random_solution(&mut rng);
-        p.evaluate(&d);
-        q.evaluate(&d);
-        let (rebuilds, hits) = p.routing_stats();
-        assert_eq!((rebuilds, hits), (1, 1), "the second evaluation reuses the table");
     }
 
     #[test]

@@ -20,22 +20,6 @@ pub struct Topology {
     links: Vec<Link>,
     /// adjacency[tile] = (neighbor tile, index into `links`).
     adjacency: Vec<Vec<(TileId, usize)>>,
-    /// Order-independent hash of the link *set* (see [`Topology::fingerprint`]).
-    fingerprint: u64,
-}
-
-/// Finalizer of splitmix64: a cheap, well-mixing 64-bit permutation.
-fn splitmix64(mut x: u64) -> u64 {
-    x = x.wrapping_add(0x9e37_79b9_7f4a_7c15);
-    x = (x ^ (x >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    x = (x ^ (x >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    x ^ (x >> 31)
-}
-
-/// Hash of one link. Links are stored with `a < b`, so the packing is
-/// canonical per undirected tile pair.
-fn link_hash(link: Link) -> u64 {
-    splitmix64(((link.a().0 as u64) << 32) | link.b().0 as u64)
 }
 
 impl Topology {
@@ -56,8 +40,7 @@ impl Topology {
         sorted.sort_unstable();
         sorted.dedup();
         assert_eq!(sorted.len(), links.len(), "duplicate links in topology");
-        let fingerprint = links.iter().fold(0u64, |acc, &l| acc ^ link_hash(l));
-        Self { links, adjacency, fingerprint }
+        Self { links, adjacency }
     }
 
     /// The canonical 3D-mesh topology: all unit-length planar neighbors
@@ -82,17 +65,6 @@ impl Topology {
     /// The links, in insertion order (the `k` index of eqs. (1)–(4)).
     pub fn links(&self) -> &[Link] {
         &self.links
-    }
-
-    /// An order-independent 64-bit hash of the link *set*: the XOR of a
-    /// mixed per-link hash. Two topologies with the same links in any
-    /// order share a fingerprint, so routing tables — which depend only
-    /// on the link set — can be cached under it. Link *indices* (and
-    /// therefore per-link arrays) still depend on insertion order, so
-    /// cache consumers must verify `links()` equality on a hit before
-    /// reusing index-addressed data.
-    pub fn fingerprint(&self) -> u64 {
-        self.fingerprint
     }
 
     /// Number of links.
@@ -188,7 +160,6 @@ impl Topology {
             return;
         }
         assert!(!self.contains(new_link), "topology already contains {new_link:?}");
-        self.fingerprint ^= link_hash(old) ^ link_hash(new_link);
         self.adjacency[old.a().0].retain(|&(_, idx)| idx != link_idx);
         self.adjacency[old.b().0].retain(|&(_, idx)| idx != link_idx);
         self.links[link_idx] = new_link;
@@ -601,50 +572,6 @@ mod tests {
         // The preferred pool covers the whole budget, so nearly all links
         // survive (degree-cap interactions may drop a few).
         assert!(kept as f64 >= 0.9 * child.link_count() as f64, "kept {kept}");
-    }
-
-    #[test]
-    fn fingerprint_is_order_independent() {
-        let g = GridDims::new(3, 1, 1);
-        let a = Link::new(TileId(0), TileId(1));
-        let b = Link::new(TileId(1), TileId(2));
-        let t1 = Topology::from_links(&g, vec![a, b]);
-        let t2 = Topology::from_links(&g, vec![b, a]);
-        assert_eq!(t1.fingerprint(), t2.fingerprint());
-        assert_ne!(t1.links(), t2.links(), "link order still differs");
-    }
-
-    #[test]
-    fn fingerprint_distinguishes_different_link_sets() {
-        let g = GridDims::new(3, 1, 1);
-        let path = Topology::from_links(
-            &g,
-            vec![Link::new(TileId(0), TileId(1)), Link::new(TileId(1), TileId(2))],
-        );
-        let other = Topology::from_links(
-            &g,
-            vec![Link::new(TileId(0), TileId(1)), Link::new(TileId(0), TileId(2))],
-        );
-        assert_ne!(path.fingerprint(), other.fingerprint());
-    }
-
-    #[test]
-    fn replace_link_maintains_the_fingerprint_incrementally() {
-        let g = GridDims::new(3, 1, 1);
-        let mut t = Topology::from_links(
-            &g,
-            vec![Link::new(TileId(0), TileId(1)), Link::new(TileId(1), TileId(2))],
-        );
-        t.replace_link(0, Link::new(TileId(0), TileId(2)));
-        let rebuilt = Topology::from_links(&g, t.links().to_vec());
-        assert_eq!(t.fingerprint(), rebuilt.fingerprint());
-        // Replacing back restores the original fingerprint (XOR involution).
-        let original = Topology::from_links(
-            &g,
-            vec![Link::new(TileId(0), TileId(1)), Link::new(TileId(1), TileId(2))],
-        );
-        t.replace_link(0, Link::new(TileId(0), TileId(1)));
-        assert_eq!(t.fingerprint(), original.fingerprint());
     }
 
     #[test]

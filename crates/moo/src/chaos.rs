@@ -266,15 +266,6 @@ impl<P: Problem> Problem for ChaosProblem<P> {
         self.ordinal.fetch_add(n, Ordering::SeqCst)
     }
 
-    /// Chaotic evaluations depend on the ordinal, not just the solution,
-    /// so they must never be memoized: deliberately `None` rather than a
-    /// delegation to the inner problem. (Memoize *below* chaos instead —
-    /// `ChaosProblem::new(CachedProblem::new(..), ..)` — so faulted
-    /// results never enter the cache.)
-    fn cache_key(&self, _s: &Self::Solution) -> Option<Vec<u8>> {
-        None
-    }
-
     fn features(&self, s: &Self::Solution) -> Vec<f64> {
         self.inner.features(s)
     }

@@ -114,21 +114,17 @@ pub trait Problem {
         0
     }
 
-    /// A stable, collision-free memoization key for `s`, or `None` when
-    /// this problem's evaluations must not be memoized.
+    /// A stable, collision-free identity key for `s`, or `None` when the
+    /// problem defines none.
     ///
     /// The contract: two solutions share a key **iff** they are equal as
-    /// far as [`evaluate`](Problem::evaluate) is concerned, so a cached
-    /// result can be substituted for re-evaluation without changing a
-    /// single bit. Implementations should return exact canonical bytes of
-    /// the solution, not a hash — a hash collision would silently return
-    /// the wrong objectives.
+    /// far as [`evaluate`](Problem::evaluate) is concerned. Implementations
+    /// should return exact canonical bytes of the solution, not a hash —
+    /// a hash collision would make two different solutions look alike.
     ///
-    /// The default is `None` (no memoization). Wrappers whose results
-    /// depend on more than the solution — e.g.
-    /// [`crate::chaos::ChaosProblem`], where the outcome depends on the
-    /// evaluation ordinal — must also return `None` so nothing caches
-    /// *above* them.
+    /// The default is `None`. Wrappers whose results depend on more than
+    /// the solution — e.g. [`crate::chaos::ChaosProblem`], where the
+    /// outcome depends on the evaluation ordinal — keep that default.
     fn cache_key(&self, _s: &Self::Solution) -> Option<Vec<u8>> {
         None
     }

@@ -13,9 +13,9 @@
 //! * `len` is the exact payload byte count, so truncation is detected
 //!   even when the truncated payload happens to parse.
 //!
-//! Files are written atomically: the bytes go to a `.tmp` sibling which is
-//! fsynced and then renamed over the final name, so a crash mid-write can
-//! never corrupt a previously good checkpoint. The store keeps the last
+//! Files are written atomically: the bytes go to a uniquely named `.tmp`
+//! sibling which is fsynced and then renamed over the final name, so a
+//! crash mid-write can never corrupt a previously good checkpoint. The store keeps the last
 //! [`CheckpointStore::keep`] files (`ckpt-00000042.json`, numbered by
 //! sequence) and [`CheckpointStore::load_latest`] falls back to older
 //! rotations when the newest file is damaged.
@@ -23,6 +23,7 @@
 use std::fs;
 use std::io::Write;
 use std::path::{Path, PathBuf};
+use std::sync::atomic::{AtomicU64, Ordering};
 
 use crate::crc32::crc32;
 use crate::error::PersistError;
@@ -95,15 +96,30 @@ pub fn from_bytes(bytes: &[u8], path: &Path) -> Result<Value, PersistError> {
     decode::from_str(text)
 }
 
+/// Per-process counter that keeps concurrent temp names apart.
+static TMP_SEQ: AtomicU64 = AtomicU64::new(0);
+
 /// Writes `bytes` to `path` atomically: temp sibling, fsync, rename.
+///
+/// Every call writes through its own temp file,
+/// `<file name>.<pid>.<seq>.tmp`, so concurrent writers of one path
+/// never rename each other's half-written bytes. The name ends in
+/// `.tmp`, so it never matches a `ckpt-*.json` scan.
 pub fn write_atomic(path: &Path, bytes: &[u8]) -> Result<(), PersistError> {
-    let tmp = path.with_extension("tmp");
-    {
+    let seq = TMP_SEQ.fetch_add(1, Ordering::Relaxed);
+    let mut name = path.file_name().unwrap_or_default().to_os_string();
+    name.push(format!(".{}.{seq}.tmp", std::process::id()));
+    let tmp = path.with_file_name(name);
+    let written = (|| {
         let mut f = fs::File::create(&tmp).map_err(|e| PersistError::io(&tmp, e))?;
         f.write_all(bytes).map_err(|e| PersistError::io(&tmp, e))?;
         f.sync_all().map_err(|e| PersistError::io(&tmp, e))?;
+        fs::rename(&tmp, path).map_err(|e| PersistError::io(path, e))
+    })();
+    if written.is_err() {
+        let _ = fs::remove_file(&tmp);
     }
-    fs::rename(&tmp, path).map_err(|e| PersistError::io(path, e))
+    written
 }
 
 /// A rotating set of checkpoint files inside one directory.
@@ -345,8 +361,30 @@ mod tests {
         let dir = temp_dir("atomic");
         let path = dir.join("ckpt-00000001.json");
         write_atomic(&path, &to_bytes(&sample(1))).unwrap();
-        assert!(path.exists());
-        assert!(!path.with_extension("tmp").exists());
+        write_atomic(&path, &to_bytes(&sample(2))).unwrap();
+        let names: Vec<_> = fs::read_dir(&dir).unwrap().map(|e| e.unwrap().file_name()).collect();
+        assert_eq!(names, ["ckpt-00000001.json"], "only the target file may remain");
+        fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn concurrent_atomic_writes_of_one_path_all_succeed() {
+        let dir = temp_dir("atomic-race");
+        let path = dir.join("job.json");
+        let payloads: Vec<Vec<u8>> = (0..4).map(|n| to_bytes(&sample(n))).collect();
+        std::thread::scope(|s| {
+            for payload in &payloads {
+                let path = &path;
+                s.spawn(move || {
+                    for _ in 0..50 {
+                        write_atomic(path, payload).expect("every concurrent write lands");
+                    }
+                });
+            }
+        });
+        assert!(payloads.contains(&fs::read(&path).unwrap()), "the file holds one whole write");
+        let names: Vec<_> = fs::read_dir(&dir).unwrap().map(|e| e.unwrap().file_name()).collect();
+        assert_eq!(names, ["job.json"], "no temp file is left behind");
         fs::remove_dir_all(&dir).unwrap();
     }
 }

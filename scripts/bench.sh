@@ -2,11 +2,10 @@
 # Telemetry benchmark sweep: runs every optimizer at a standard budget
 # with observability on, then assembles their metrics.json reports into
 # one BENCH_<date>.json at the repo root. Each embedded report carries
-# the evaluation-cache counters (cache_hits/cache_misses/evictions and
-# routing_rebuilds/routing_hits inside its "cache" object) and the
-# incremental-evaluation counters (hits/fallbacks inside its "delta"
-# object), so both hit rates are collated alongside the timing data and
-# echoed per run below. Wall-clock figures are machine-dependent
+# the incremental-evaluation counters (hits/fallbacks inside its "delta"
+# object) and the count of full routing-table builds (routing_rebuilds
+# among its telemetry counters), so both are collated alongside the
+# timing data and echoed per run below. Wall-clock figures are machine-dependent
 # snapshots, not regression gates — compare them across commits on the
 # same machine only.
 #
@@ -36,10 +35,10 @@ for algo in "${algorithms[@]}"; do
     "$dse" run --app HOT --objectives 3 --algorithm "$algo" \
         --budget "$budget" --population 24 --seed "$seed" \
         --run-dir "$sweep/$algo" --log-level quiet
-    grep -o '"cache":{[^}]*}' "$sweep/$algo/metrics.json" \
-        | sed "s/^/    /" || echo "    (no cache counters in metrics.json)"
     grep -o '"delta":{[^}]*}' "$sweep/$algo/metrics.json" \
         | sed "s/^/    /" || echo "    (no delta counters in metrics.json)"
+    grep -o '"routing_rebuilds":[0-9]*' "$sweep/$algo/metrics.json" \
+        | sed "s/^/    /" || echo "    (no routing_rebuilds counter in metrics.json)"
 done
 
 {
