@@ -12,20 +12,19 @@
 //! Like every optimizer in the workspace, the run loop is exposed as a
 //! checkpointable state machine ([`MoeadState`], one step per generation).
 
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 use rand::seq::SliceRandom;
 use rand::{Rng, RngCore};
 
-use moela_moo::checkpoint::{CancelToken, Resumable};
-use moela_moo::fault::{fault_log_from, is_quarantined, EvalFault, FaultConfig, FaultLog};
+use moela_moo::checkpoint::{Algorithm, Fields, Run, RunCore};
+use moela_moo::fault::{is_quarantined, FaultConfig};
 use moela_moo::normalize::Normalizer;
-use moela_moo::run::{RunResult, TraceRecorder};
+use moela_moo::run::RunResult;
 use moela_moo::scalarize::{ReferencePoint, Scalarizer};
 use moela_moo::snapshot::{entries_from_value, entries_to_value};
 use moela_moo::weights::{neighborhoods, uniform_weights};
-use moela_moo::{GuardedEvaluator, Problem};
-use moela_obs::Obs;
+use moela_moo::Problem;
 use moela_persist::{PersistError, Restore, Snapshot, SolutionCodec, Value};
 
 /// MOEA/D parameters.
@@ -120,9 +119,10 @@ where
     ///
     /// Each generation's offspring are generated sequentially from `rng`
     /// (parents drawn from the population as it stood at the start of the
-    /// generation), evaluated as one batch through a [`GuardedEvaluator`]
-    /// sized by [`MoeadConfig::threads`], then applied in sub-problem
-    /// order — so results are bit-identical for every thread count.
+    /// generation), evaluated as one batch through a
+    /// [`GuardedEvaluator`](moela_moo::GuardedEvaluator) sized by
+    /// [`MoeadConfig::threads`], then applied in sub-problem order — so
+    /// results are bit-identical for every thread count.
     pub fn run(&self, rng: &mut impl RngCore) -> RunResult<P::Solution> {
         let rng: &mut dyn RngCore = rng;
         let mut state = self.start(rng);
@@ -135,13 +135,7 @@ where
     pub fn start(&self, rng: &mut dyn RngCore) -> MoeadState<'p, P> {
         let cfg = self.config.clone();
         let m = self.problem.objective_count();
-        let start_time = Instant::now();
-        let mut evaluator = GuardedEvaluator::new(cfg.threads, cfg.fault);
-        let mut evaluations = 0u64;
-        let mut recorder = match &cfg.trace_normalizer {
-            Some(n) => TraceRecorder::with_fixed_normalizer(n.clone()),
-            None => TraceRecorder::new(m),
-        };
+        let mut core = RunCore::new(m, cfg.trace_normalizer.as_ref(), cfg.threads, cfg.fault);
 
         let weights = uniform_weights(cfg.population, m);
         let nbhd = neighborhoods(&weights, cfg.neighborhood);
@@ -149,8 +143,7 @@ where
         let mut normalizer = Normalizer::new(m);
         let solutions: Vec<P::Solution> =
             (0..cfg.population).map(|_| self.problem.random_solution(rng)).collect();
-        let batch = evaluator.evaluate(self.problem, &solutions);
-        evaluations += batch.attempts;
+        let batch = core.evaluate(self.problem, &solutions);
         // Dropped initial slots are materialized as penalty vectors — every
         // sub-problem keeps a member, but the quarantined ones never feed
         // the reference point, normalizer, or trace.
@@ -161,18 +154,13 @@ where
             }
             z.update(o);
             normalizer.observe(o);
-            recorder.observe(o);
+            core.recorder.observe(o);
         }
-        recorder.record(0, evaluations, start_time.elapsed(), &objectives);
-        let evaluator_poisoned = evaluator.poisoned();
+        core.record(0, &objectives);
 
-        MoeadState {
+        let algo = MoeadAlgo {
             config: cfg,
             problem: self.problem,
-            evaluator,
-            start_time,
-            evaluations,
-            recorder,
             weights,
             nbhd,
             z,
@@ -180,10 +168,8 @@ where
             solutions,
             objectives,
             generation: 0,
-            finished: evaluator_poisoned,
-            obs: Obs::disabled(),
-            cancel: CancelToken::default(),
-        }
+        };
+        Run::new(core, algo)
     }
 
     /// Rebuilds a mid-run state from a [`MoeadState::snapshot_state`]
@@ -213,17 +199,10 @@ where
         }
         let weights = uniform_weights(cfg.population, m);
         let nbhd = neighborhoods(&weights, cfg.neighborhood);
-        Ok(MoeadState {
-            evaluator: GuardedEvaluator::from_parts(
-                cfg.threads,
-                cfg.fault,
-                fault_log_from(value, "faults")?,
-            ),
+        let core = RunCore::restore(value, elapsed, cfg.threads, cfg.fault)?;
+        let algo = MoeadAlgo {
             config: cfg,
             problem: self.problem,
-            start_time: Instant::now().checked_sub(elapsed).unwrap_or_else(Instant::now),
-            evaluations: value.field("evaluations")?.as_u64()?,
-            recorder: TraceRecorder::restore(value.field("recorder")?)?,
             weights,
             nbhd,
             z,
@@ -231,22 +210,19 @@ where
             solutions,
             objectives,
             generation: value.field("generation")?.as_usize()?,
-            finished: value.field("finished")?.as_bool()?,
-            obs: Obs::disabled(),
-            cancel: CancelToken::default(),
-        })
+        };
+        Ok(Run::new(core, algo))
     }
 }
 
 /// A MOEA/D run in progress, checkpointable between generations.
+pub type MoeadState<'p, P> = Run<MoeadAlgo<'p, P>>;
+
+/// MOEA/D's own state inside a [`MoeadState`].
 #[derive(Debug)]
-pub struct MoeadState<'p, P: Problem> {
+pub struct MoeadAlgo<'p, P: Problem> {
     config: MoeadConfig,
     problem: &'p P,
-    evaluator: GuardedEvaluator,
-    start_time: Instant,
-    evaluations: u64,
-    recorder: TraceRecorder,
     weights: Vec<Vec<f64>>,
     nbhd: Vec<Vec<usize>>,
     z: ReferencePoint,
@@ -254,69 +230,35 @@ pub struct MoeadState<'p, P: Problem> {
     solutions: Vec<P::Solution>,
     objectives: Vec<Vec<f64>>,
     generation: usize,
-    finished: bool,
-    /// Telemetry handle (never checkpointed; disabled by default).
-    obs: Obs,
-    /// Cooperative cancellation flag (never checkpointed; inert
-    /// unless the driver installs a shared token).
-    cancel: CancelToken,
 }
 
-impl<'p, P> MoeadState<'p, P>
+impl<'p, P> Algorithm for MoeadAlgo<'p, P>
 where
     P: Problem + Sync,
     P::Solution: Sync,
 {
-    /// Completed generations.
-    pub fn completed(&self) -> u64 {
+    type Solution = P::Solution;
+
+    fn completed(&self) -> u64 {
         self.generation as u64
     }
 
-    /// Objective evaluations paid for so far.
-    pub fn evaluations(&self) -> u64 {
-        self.evaluations
+    fn exhausted(&self) -> bool {
+        self.generation >= self.config.generations
     }
 
-    /// Installs the observability handle phase spans are reported
-    /// through. Telemetry is write-only: it never alters an RNG draw,
-    /// an evaluation, or a trace byte.
-    /// Installs a cooperative cancellation token checked at step
-    /// boundaries (see [`CancelToken`]).
-    pub fn set_cancel(&mut self, token: CancelToken) {
-        self.cancel = token;
-    }
-
-    pub fn set_obs(&mut self, obs: Obs) {
-        self.evaluator.set_obs(obs.clone());
-        self.obs = obs;
-    }
-
-    /// Executes one generation. Returns `false` — drawing no RNG values —
-    /// once the run has finished.
-    pub fn step(&mut self, rng: &mut dyn RngCore) -> bool {
-        if self.cancel.is_cancelled() {
-            // Cancelled at a step boundary: draw nothing, mutate
-            // nothing, stay snapshottable and resumable.
-            return false;
-        }
-        if self.finished || self.generation >= self.config.generations || self.evaluator.poisoned()
-        {
-            self.finished = true;
-            return false;
-        }
+    /// One generation.
+    fn step_inner(&mut self, core: &mut RunCore, rng: &mut dyn RngCore) -> bool {
         let cfg = &self.config;
         let generation = self.generation;
-        if cfg.time_budget.is_some_and(|cap| self.start_time.elapsed() >= cap) {
-            self.finished = true;
+        if core.time_up(cfg.time_budget) {
             return false;
         }
         // Cap the generation to the remaining evaluation budget; a short
         // (partial) generation is still evaluated, applied, and recorded
         // before stopping, so the trace accounts for every evaluation.
-        let remaining =
-            cfg.max_evaluations.map_or(u64::MAX, |cap| cap.saturating_sub(self.evaluations));
+        let remaining = core.remaining(cfg.max_evaluations);
         if remaining == 0 {
-            self.finished = true;
             return false;
         }
         let mut order: Vec<usize> = (0..cfg.population).collect();
@@ -326,7 +268,7 @@ where
 
         let mut children: Vec<P::Solution> = Vec::with_capacity(order.len());
         let mut pools: Vec<Vec<usize>> = Vec::with_capacity(order.len());
-        let mate_span = self.obs.span("mate");
+        let mate_span = core.obs.span("mate");
         for &i in &order {
             let whole: Vec<usize>;
             let pool: &[usize] = if rng.gen_bool(cfg.delta) {
@@ -353,13 +295,11 @@ where
         }
         drop(mate_span);
 
-        let batch = self.evaluator.evaluate(self.problem, &children);
-        self.evaluations += batch.attempts;
-        if self.evaluator.poisoned() {
-            self.finished = true;
+        let batch = core.evaluate(self.problem, &children);
+        if core.evaluator.poisoned() {
             return false;
         }
-        let select_span = self.obs.span("select");
+        let select_span = core.obs.span("select");
         let mut ea_improvements = 0u64;
         for ((child, child_objs), pool) in children.iter().zip(&batch.objectives).zip(&pools) {
             let Some(child_objs) = child_objs else { continue };
@@ -368,7 +308,7 @@ where
             }
             self.z.update(child_objs);
             self.normalizer.observe(child_objs);
-            self.recorder.observe(child_objs);
+            core.recorder.observe(child_objs);
 
             let g = |objs: &[f64], w: &[f64]| {
                 Scalarizer::Tchebycheff.value(
@@ -391,120 +331,42 @@ where
             ea_improvements += replaced as u64;
         }
         if ea_improvements > 0 {
-            self.obs.counter(moela_obs::names::EA_IMPROVEMENTS, ea_improvements);
+            core.obs.counter(moela_obs::names::EA_IMPROVEMENTS, ea_improvements);
         }
         drop(select_span);
         {
-            let _archive = self.obs.span("archive_update");
-            self.recorder.record(
-                generation + 1,
-                self.evaluations,
-                self.start_time.elapsed(),
-                &self.objectives,
-            );
+            let _archive = core.obs.span("archive_update");
+            core.record(generation + 1, &self.objectives);
         }
         self.generation = generation + 1;
-        self.obs.counter("generations", 1);
-        if let Some(point) = self.recorder.points().last() {
-            self.obs.gauge("phv", point.phv);
-        }
-        if partial {
-            self.finished = true;
-            return false;
-        }
-        true
+        core.obs.counter("generations", 1);
+        core.gauge_phv();
+        !partial
     }
 
-    /// Consumes the state, producing the final result.
-    pub fn finish(self) -> RunResult<P::Solution> {
-        RunResult {
-            population: self.solutions.into_iter().zip(self.objectives).collect(),
-            trace: self.recorder.into_points(),
-            evaluations: self.evaluations,
-            elapsed: self.start_time.elapsed(),
-        }
+    fn snapshot_counters(&self) -> Fields {
+        vec![("generation", Value::U64(self.generation as u64))]
     }
 
-    /// Captures the complete optimizer state (the RNG is checkpointed by
-    /// the driver alongside).
-    pub fn snapshot_state<C: SolutionCodec<P::Solution>>(&self, codec: &C) -> Value {
+    fn snapshot_inner<C: SolutionCodec<P::Solution>>(&self, codec: &C) -> Fields {
         let entries: Vec<(P::Solution, Vec<f64>)> =
             self.solutions.iter().cloned().zip(self.objectives.iter().cloned()).collect();
-        Value::object(vec![
-            ("generation", Value::U64(self.generation as u64)),
-            ("finished", Value::Bool(self.finished)),
-            ("evaluations", Value::U64(self.evaluations)),
-            ("recorder", self.recorder.snapshot()),
+        vec![
             ("population", entries_to_value(&entries, codec)),
             ("z", self.z.snapshot()),
             ("normalizer", self.normalizer.snapshot()),
-            ("faults", self.evaluator.log().snapshot()),
-        ])
+        ]
     }
 
-    /// Fault counters accumulated by the guarded evaluator.
-    pub fn fault_log(&self) -> &FaultLog {
-        self.evaluator.log()
-    }
-
-    /// The latched `Fail`-policy fault, if one stopped the run.
-    pub fn fault_error(&self) -> Option<&EvalFault> {
-        self.evaluator.error()
-    }
-}
-
-impl<'p, P, C> Resumable<C> for MoeadState<'p, P>
-where
-    P: Problem + Sync,
-    P::Solution: Sync,
-    C: SolutionCodec<P::Solution>,
-{
-    type Solution = P::Solution;
-
-    fn completed(&self) -> u64 {
-        MoeadState::completed(self)
-    }
-
-    fn step(&mut self, rng: &mut dyn RngCore) -> bool {
-        MoeadState::step(self, rng)
-    }
-
-    fn snapshot_state(&self, codec: &C) -> Value {
-        MoeadState::snapshot_state(self, codec)
-    }
-
-    fn finish(self) -> RunResult<P::Solution> {
-        MoeadState::finish(self)
-    }
-
-    fn fault_log(&self) -> Option<&FaultLog> {
-        Some(MoeadState::fault_log(self))
-    }
-
-    fn fault_error(&self) -> Option<&EvalFault> {
-        MoeadState::fault_error(self)
-    }
-
-    fn set_cancel(&mut self, token: CancelToken) {
-        MoeadState::set_cancel(self, token);
-    }
-
-    fn set_obs(&mut self, obs: Obs) {
-        MoeadState::set_obs(self, obs);
-    }
-
-    fn evaluations(&self) -> u64 {
-        MoeadState::evaluations(self)
-    }
-
-    fn latest_phv(&self) -> Option<f64> {
-        self.recorder.points().last().map(|p| p.phv)
+    fn finish_inner(self, _core: &mut RunCore) -> Vec<(P::Solution, Vec<f64>)> {
+        self.solutions.into_iter().zip(self.objectives).collect()
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use moela_moo::checkpoint::Resumable;
     use moela_moo::metrics::igd;
     use moela_moo::problems::Zdt;
     use moela_persist::VecF64Codec;

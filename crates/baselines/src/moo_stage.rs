@@ -18,19 +18,18 @@
 //! The run loop is exposed as a checkpointable state machine
 //! ([`MooStageState`], one step per episode).
 
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 use rand::RngCore;
 
 use moela_ml::{Dataset, ForestConfig, RandomForest};
 use moela_moo::archive::ParetoArchive;
-use moela_moo::checkpoint::{CancelToken, Resumable};
-use moela_moo::fault::{fault_log_from, is_quarantined, EvalFault, FaultConfig, FaultLog};
+use moela_moo::checkpoint::{Algorithm, Fields, Run, RunCore};
+use moela_moo::fault::{is_quarantined, FaultConfig};
 use moela_moo::normalize::Normalizer;
-use moela_moo::run::{RunResult, TraceRecorder};
+use moela_moo::run::RunResult;
 use moela_moo::snapshot::{archive_from_value, archive_to_value};
-use moela_moo::{GuardedEvaluator, Problem};
-use moela_obs::Obs;
+use moela_moo::Problem;
 use moela_persist::{PersistError, Restore, Snapshot, SolutionCodec, Value};
 
 use crate::common::normalized_phv;
@@ -130,8 +129,9 @@ where
     /// trace.
     ///
     /// Each base-search step's neighbors are sampled sequentially from
-    /// `rng`, then evaluated as one batch through a [`GuardedEvaluator`]
-    /// sized by [`MooStageConfig::threads`] — results are bit-identical
+    /// `rng`, then evaluated as one batch through a
+    /// [`GuardedEvaluator`](moela_moo::GuardedEvaluator) sized by
+    /// [`MooStageConfig::threads`] — results are bit-identical
     /// for every thread count (the archive only changes after the step's
     /// best candidate is chosen).
     pub fn run(&self, rng: &mut impl RngCore) -> RunResult<P::Solution> {
@@ -146,13 +146,7 @@ where
     pub fn start(&self, rng: &mut dyn RngCore) -> MooStageState<'p, P> {
         let cfg = self.config.clone();
         let m = self.problem.objective_count();
-        let start_time = Instant::now();
-        let mut evaluator = GuardedEvaluator::new(cfg.threads, cfg.fault);
-        let mut evaluations = 0u64;
-        let mut recorder = match &cfg.trace_normalizer {
-            Some(n) => TraceRecorder::with_fixed_normalizer(n.clone()),
-            None => TraceRecorder::new(m),
-        };
+        let mut core = RunCore::new(m, cfg.trace_normalizer.as_ref(), cfg.threads, cfg.fault);
 
         let mut archive: ParetoArchive<P::Solution> = ParetoArchive::bounded(cfg.archive_cap);
         let mut normalizer = Normalizer::new(m);
@@ -160,33 +154,24 @@ where
         // Initial random start; a quarantined one is simply not archived
         // (the base search still departs from it).
         let start = self.problem.random_solution(rng);
-        let (start_objs, attempts) = evaluator.evaluate_one(self.problem, &start);
-        evaluations += attempts;
-        if let Some(o) = start_objs.filter(|o| !is_quarantined(o)) {
+        if let Some(o) = core.evaluate_one(self.problem, &start).filter(|o| !is_quarantined(o)) {
             normalizer.observe(&o);
-            recorder.observe(&o);
+            core.recorder.observe(&o);
             archive.insert(start.clone(), o);
         }
-        recorder.record(0, evaluations, start_time.elapsed(), &archive.objectives());
-        let evaluator_poisoned = evaluator.poisoned();
+        core.record(0, &archive.objectives());
 
-        MooStageState {
+        let algo = MooStageAlgo {
             config: cfg,
             problem: self.problem,
-            evaluator,
-            start_time,
-            evaluations,
-            recorder,
             archive,
             normalizer,
             train: Dataset::with_capacity(10_000),
             eval_fn: None,
             start,
             episode: 0,
-            finished: evaluator_poisoned,
-            obs: Obs::disabled(),
-            cancel: CancelToken::default(),
-        }
+        };
+        Run::new(core, algo)
     }
 
     /// Rebuilds a mid-run state from a [`MooStageState::snapshot_state`]
@@ -207,39 +192,29 @@ where
             Value::Null => None,
             v => Some(RandomForest::restore(v)?),
         };
-        Ok(MooStageState {
-            evaluator: GuardedEvaluator::from_parts(
-                cfg.threads,
-                cfg.fault,
-                fault_log_from(value, "faults")?,
-            ),
+        let core = RunCore::restore(value, elapsed, cfg.threads, cfg.fault)?;
+        let algo = MooStageAlgo {
             config: cfg,
             problem: self.problem,
-            start_time: Instant::now().checked_sub(elapsed).unwrap_or_else(Instant::now),
-            evaluations: value.field("evaluations")?.as_u64()?,
-            recorder: TraceRecorder::restore(value.field("recorder")?)?,
             archive: archive_from_value(value.field("archive")?, codec)?,
             normalizer,
             train: Dataset::restore(value.field("train")?)?,
             eval_fn,
             start: codec.decode_solution(value.field("start")?)?,
             episode: value.field("episode")?.as_usize()?,
-            finished: value.field("finished")?.as_bool()?,
-            obs: Obs::disabled(),
-            cancel: CancelToken::default(),
-        })
+        };
+        Ok(Run::new(core, algo))
     }
 }
 
 /// A MOO-STAGE run in progress, checkpointable between episodes.
+pub type MooStageState<'p, P> = Run<MooStageAlgo<'p, P>>;
+
+/// MOO-STAGE's own state inside a [`MooStageState`].
 #[derive(Debug)]
-pub struct MooStageState<'p, P: Problem> {
+pub struct MooStageAlgo<'p, P: Problem> {
     config: MooStageConfig,
     problem: &'p P,
-    evaluator: GuardedEvaluator,
-    start_time: Instant,
-    evaluations: u64,
-    recorder: TraceRecorder,
     archive: ParetoArchive<P::Solution>,
     normalizer: Normalizer,
     train: Dataset,
@@ -247,70 +222,34 @@ pub struct MooStageState<'p, P: Problem> {
     /// The next episode's base-search start, carried across episodes.
     start: P::Solution,
     episode: usize,
-    finished: bool,
-    /// Telemetry handle (never checkpointed; disabled by default).
-    obs: Obs,
-    /// Cooperative cancellation flag (never checkpointed; inert
-    /// unless the driver installs a shared token).
-    cancel: CancelToken,
 }
 
-impl<'p, P> MooStageState<'p, P>
+impl<'p, P> Algorithm for MooStageAlgo<'p, P>
 where
     P: Problem + Sync,
     P::Solution: Sync,
 {
-    /// Completed episodes.
-    pub fn completed(&self) -> u64 {
+    type Solution = P::Solution;
+
+    fn completed(&self) -> u64 {
         self.episode as u64
     }
 
-    /// Objective evaluations paid for so far.
-    pub fn evaluations(&self) -> u64 {
-        self.evaluations
+    fn exhausted(&self) -> bool {
+        self.episode >= self.config.episodes
     }
 
-    /// Installs the observability handle phase spans are reported
-    /// through. Telemetry is write-only: it never alters an RNG draw,
-    /// an evaluation, or a trace byte.
-    /// Installs a cooperative cancellation token checked at step
-    /// boundaries (see [`CancelToken`]).
-    pub fn set_cancel(&mut self, token: CancelToken) {
-        self.cancel = token;
-    }
-
-    pub fn set_obs(&mut self, obs: Obs) {
-        self.evaluator.set_obs(obs.clone());
-        self.obs = obs;
-    }
-
-    fn budget_left(&self) -> bool {
-        self.config.max_evaluations.is_none_or(|cap| self.evaluations < cap)
-            && self.config.time_budget.is_none_or(|cap| self.start_time.elapsed() < cap)
-    }
-
-    /// Executes one episode. Returns `false` — drawing no RNG values —
-    /// once the run has finished.
-    pub fn step(&mut self, rng: &mut dyn RngCore) -> bool {
-        if self.cancel.is_cancelled() {
-            // Cancelled at a step boundary: draw nothing, mutate
-            // nothing, stay snapshottable and resumable.
-            return false;
-        }
+    /// One episode.
+    fn step_inner(&mut self, core: &mut RunCore, rng: &mut dyn RngCore) -> bool {
         let mut rng = rng;
-        if self.finished || self.episode >= self.config.episodes || self.evaluator.poisoned() {
-            self.finished = true;
-            return false;
-        }
-        if !self.budget_left() {
-            self.finished = true;
+        if !core.budget_left(self.config.max_evaluations, self.config.time_budget) {
             return false;
         }
         let episode = self.episode;
         let cfg = self.config.clone();
 
         // --- Base search: PHV-greedy hill climb ---------------------
-        let ls_span = self.obs.span("local_search");
+        let ls_span = core.obs.span("local_search");
         let mut ls_improvements = 0u64;
         const PATIENCE: usize = 3;
         let mut current = self.start.clone();
@@ -323,10 +262,9 @@ where
                 .collect();
             // Every candidate is one move from `current`, so delta-capable
             // problems may score the batch incrementally (bit-identically).
-            let batch = self.evaluator.evaluate_neighbors(self.problem, &current, &candidates);
-            self.evaluations += batch.attempts;
-            if self.evaluator.poisoned() {
-                self.finished = true;
+            let batch = core.evaluator.evaluate_neighbors(self.problem, &current, &candidates);
+            core.evaluations += batch.attempts;
+            if core.evaluator.poisoned() {
                 return false;
             }
             let mut best: Option<(P::Solution, Vec<f64>, f64)> = None;
@@ -336,7 +274,7 @@ where
                     continue;
                 }
                 self.normalizer.observe(&objs);
-                self.recorder.observe(&objs);
+                core.recorder.observe(&objs);
                 // PHV potential: archive HV if this design joined.
                 let mut with = self.archive.objectives();
                 with.push(objs.clone());
@@ -365,7 +303,7 @@ where
         }
 
         if ls_improvements > 0 {
-            self.obs.counter(moela_obs::names::LS_IMPROVEMENTS, ls_improvements);
+            core.obs.counter(moela_obs::names::LS_IMPROVEMENTS, ls_improvements);
         }
         drop(ls_span);
 
@@ -378,14 +316,14 @@ where
             self.train.push_finite(features, -final_phv);
         }
         if self.train.len() >= 8 {
-            let _fit = self.obs.span("surrogate_fit");
+            let _fit = core.obs.span("surrogate_fit");
             self.eval_fn = Some(RandomForest::fit(&self.train, &cfg.forest, &mut rng));
         }
 
         // --- Meta search on predicted Eval --------------------------
         self.start = match &self.eval_fn {
             Some(model) => {
-                let _predict = self.obs.span("surrogate_predict");
+                let _predict = core.obs.span("surrogate_predict");
                 let mut meta = current.clone();
                 let mut meta_score = model.predict(&self.problem.features(&meta));
                 let mut moved = false;
@@ -410,113 +348,39 @@ where
         };
 
         {
-            let _archive = self.obs.span("archive_update");
-            self.recorder.record(
-                episode + 1,
-                self.evaluations,
-                self.start_time.elapsed(),
-                &self.archive.objectives(),
-            );
+            let _archive = core.obs.span("archive_update");
+            core.record(episode + 1, &self.archive.objectives());
         }
         self.episode = episode + 1;
-        self.obs.counter("generations", 1);
-        self.obs.gauge("archive_size", self.archive.len() as f64);
-        if let Some(point) = self.recorder.points().last() {
-            self.obs.gauge("phv", point.phv);
-        }
+        core.obs.counter("generations", 1);
+        core.obs.gauge("archive_size", self.archive.len() as f64);
+        core.gauge_phv();
         true
     }
 
-    /// Consumes the state, producing the final result.
-    pub fn finish(self) -> RunResult<P::Solution> {
-        RunResult {
-            population: self.archive.into_entries(),
-            trace: self.recorder.into_points(),
-            evaluations: self.evaluations,
-            elapsed: self.start_time.elapsed(),
-        }
+    fn snapshot_counters(&self) -> Fields {
+        vec![("episode", Value::U64(self.episode as u64))]
     }
 
-    /// Captures the complete optimizer state (the RNG is checkpointed by
-    /// the driver alongside).
-    pub fn snapshot_state<C: SolutionCodec<P::Solution>>(&self, codec: &C) -> Value {
-        Value::object(vec![
-            ("episode", Value::U64(self.episode as u64)),
-            ("finished", Value::Bool(self.finished)),
-            ("evaluations", Value::U64(self.evaluations)),
-            ("recorder", self.recorder.snapshot()),
+    fn snapshot_inner<C: SolutionCodec<P::Solution>>(&self, codec: &C) -> Fields {
+        vec![
             ("archive", archive_to_value(&self.archive, codec)),
             ("normalizer", self.normalizer.snapshot()),
             ("train", self.train.snapshot()),
             ("eval_fn", self.eval_fn.as_ref().map_or(Value::Null, Snapshot::snapshot)),
             ("start", codec.encode_solution(&self.start)),
-            ("faults", self.evaluator.log().snapshot()),
-        ])
+        ]
     }
 
-    /// Fault counters accumulated by the guarded evaluator.
-    pub fn fault_log(&self) -> &FaultLog {
-        self.evaluator.log()
-    }
-
-    /// The latched `Fail`-policy fault, if one stopped the run.
-    pub fn fault_error(&self) -> Option<&EvalFault> {
-        self.evaluator.error()
-    }
-}
-
-impl<'p, P, C> Resumable<C> for MooStageState<'p, P>
-where
-    P: Problem + Sync,
-    P::Solution: Sync,
-    C: SolutionCodec<P::Solution>,
-{
-    type Solution = P::Solution;
-
-    fn completed(&self) -> u64 {
-        MooStageState::completed(self)
-    }
-
-    fn step(&mut self, rng: &mut dyn RngCore) -> bool {
-        MooStageState::step(self, rng)
-    }
-
-    fn snapshot_state(&self, codec: &C) -> Value {
-        MooStageState::snapshot_state(self, codec)
-    }
-
-    fn finish(self) -> RunResult<P::Solution> {
-        MooStageState::finish(self)
-    }
-
-    fn fault_log(&self) -> Option<&FaultLog> {
-        Some(MooStageState::fault_log(self))
-    }
-
-    fn fault_error(&self) -> Option<&EvalFault> {
-        MooStageState::fault_error(self)
-    }
-
-    fn set_cancel(&mut self, token: CancelToken) {
-        MooStageState::set_cancel(self, token);
-    }
-
-    fn set_obs(&mut self, obs: Obs) {
-        MooStageState::set_obs(self, obs);
-    }
-
-    fn evaluations(&self) -> u64 {
-        MooStageState::evaluations(self)
-    }
-
-    fn latest_phv(&self) -> Option<f64> {
-        self.recorder.points().last().map(|p| p.phv)
+    fn finish_inner(self, _core: &mut RunCore) -> Vec<(P::Solution, Vec<f64>)> {
+        self.archive.into_entries()
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use moela_moo::checkpoint::Resumable;
     use moela_moo::metrics::igd;
     use moela_moo::problems::Zdt;
     use moela_persist::VecF64Codec;

@@ -20,23 +20,20 @@
 //! The run loop is exposed as a checkpointable state machine
 //! ([`MoosState`], one step per episode).
 
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 use rand::{Rng, RngCore};
 
 use moela_ml::{Dataset, ForestConfig, RandomForest};
 use moela_moo::archive::ParetoArchive;
-use moela_moo::checkpoint::{CancelToken, Resumable};
-use moela_moo::fault::{
-    fault_log_from, is_quarantined, penalty_objectives, EvalFault, FaultConfig, FaultLog,
-};
+use moela_moo::checkpoint::{Algorithm, Fields, Run, RunCore};
+use moela_moo::fault::{is_quarantined, penalty_objectives, FaultConfig};
 use moela_moo::normalize::Normalizer;
-use moela_moo::run::{RunResult, TraceRecorder};
+use moela_moo::run::RunResult;
 use moela_moo::scalarize::ReferencePoint;
 use moela_moo::snapshot::{archive_from_value, archive_to_value};
 use moela_moo::weights::uniform_weights;
-use moela_moo::{GuardedEvaluator, Problem};
-use moela_obs::Obs;
+use moela_moo::Problem;
 use moela_persist::{PersistError, Restore, Snapshot, SolutionCodec, Value};
 
 use crate::common::{normalized_phv, weighted_descent};
@@ -141,8 +138,9 @@ where
     /// trace.
     ///
     /// Each descent step's neighbors are evaluated as one batch through a
-    /// [`GuardedEvaluator`] sized by [`MoosConfig::threads`] — results
-    /// are bit-identical for every thread count.
+    /// [`GuardedEvaluator`](moela_moo::GuardedEvaluator) sized by
+    /// [`MoosConfig::threads`] — results are bit-identical for every
+    /// thread count.
     pub fn run(&self, rng: &mut impl RngCore) -> RunResult<P::Solution> {
         let rng: &mut dyn RngCore = rng;
         let mut state = self.start(rng);
@@ -155,13 +153,7 @@ where
     pub fn start(&self, rng: &mut dyn RngCore) -> MoosState<'p, P> {
         let cfg = self.config.clone();
         let m = self.problem.objective_count();
-        let start_time = Instant::now();
-        let mut evaluator = GuardedEvaluator::new(cfg.threads, cfg.fault);
-        let mut evaluations = 0u64;
-        let mut recorder = match &cfg.trace_normalizer {
-            Some(n) => TraceRecorder::with_fixed_normalizer(n.clone()),
-            None => TraceRecorder::new(m),
-        };
+        let mut core = RunCore::new(m, cfg.trace_normalizer.as_ref(), cfg.threads, cfg.fault);
 
         let mut archive: ParetoArchive<P::Solution> = ParetoArchive::bounded(cfg.archive_cap);
         let mut z = ReferencePoint::new(m);
@@ -171,9 +163,8 @@ where
         // seeds are simply not archived.
         for _ in 0..4 {
             let s = self.problem.random_solution(rng);
-            let (o, attempts) = evaluator.evaluate_one(self.problem, &s);
-            evaluations += attempts;
-            if evaluator.poisoned() {
+            let o = core.evaluate_one(self.problem, &s);
+            if core.evaluator.poisoned() {
                 break;
             }
             let Some(o) = o else { continue };
@@ -182,29 +173,22 @@ where
             }
             z.update(&o);
             normalizer.observe(&o);
-            recorder.observe(&o);
+            core.recorder.observe(&o);
             archive.insert(s, o);
         }
-        recorder.record(0, evaluations, start_time.elapsed(), &archive.objectives());
-        let evaluator_poisoned = evaluator.poisoned();
+        core.record(0, &archive.objectives());
 
-        MoosState {
+        let algo = MoosAlgo {
             config: cfg,
             problem: self.problem,
-            evaluator,
-            start_time,
-            evaluations,
-            recorder,
             archive,
             z,
             normalizer,
             train: Dataset::with_capacity(10_000),
             gain_model: None,
             episode: 0,
-            finished: evaluator_poisoned,
-            obs: Obs::disabled(),
-            cancel: CancelToken::default(),
-        }
+        };
+        Run::new(core, algo)
     }
 
     /// Rebuilds a mid-run state from a [`MoosState::snapshot_state`]
@@ -229,102 +213,56 @@ where
             Value::Null => None,
             v => Some(RandomForest::restore(v)?),
         };
-        Ok(MoosState {
-            evaluator: GuardedEvaluator::from_parts(
-                cfg.threads,
-                cfg.fault,
-                fault_log_from(value, "faults")?,
-            ),
+        let core = RunCore::restore(value, elapsed, cfg.threads, cfg.fault)?;
+        let algo = MoosAlgo {
             config: cfg,
             problem: self.problem,
-            start_time: Instant::now().checked_sub(elapsed).unwrap_or_else(Instant::now),
-            evaluations: value.field("evaluations")?.as_u64()?,
-            recorder: TraceRecorder::restore(value.field("recorder")?)?,
             archive,
             z,
             normalizer,
             train: Dataset::restore(value.field("train")?)?,
             gain_model,
             episode: value.field("episode")?.as_usize()?,
-            finished: value.field("finished")?.as_bool()?,
-            obs: Obs::disabled(),
-            cancel: CancelToken::default(),
-        })
+        };
+        Ok(Run::new(core, algo))
     }
 }
 
 /// A MOOS run in progress, checkpointable between episodes.
+pub type MoosState<'p, P> = Run<MoosAlgo<'p, P>>;
+
+/// MOOS's own state inside a [`MoosState`].
 #[derive(Debug)]
-pub struct MoosState<'p, P: Problem> {
+pub struct MoosAlgo<'p, P: Problem> {
     config: MoosConfig,
     problem: &'p P,
-    evaluator: GuardedEvaluator,
-    start_time: Instant,
-    evaluations: u64,
-    recorder: TraceRecorder,
     archive: ParetoArchive<P::Solution>,
     z: ReferencePoint,
     normalizer: Normalizer,
     train: Dataset,
     gain_model: Option<RandomForest>,
     episode: usize,
-    finished: bool,
-    /// Telemetry handle (never checkpointed; disabled by default).
-    obs: Obs,
-    /// Cooperative cancellation flag (never checkpointed; inert
-    /// unless the driver installs a shared token).
-    cancel: CancelToken,
 }
 
-impl<'p, P> MoosState<'p, P>
+impl<'p, P> Algorithm for MoosAlgo<'p, P>
 where
     P: Problem + Sync,
     P::Solution: Sync,
 {
-    /// Completed episodes.
-    pub fn completed(&self) -> u64 {
+    type Solution = P::Solution;
+
+    fn completed(&self) -> u64 {
         self.episode as u64
     }
 
-    /// Objective evaluations paid for so far.
-    pub fn evaluations(&self) -> u64 {
-        self.evaluations
+    fn exhausted(&self) -> bool {
+        self.episode >= self.config.episodes
     }
 
-    /// Installs the observability handle phase spans are reported
-    /// through. Telemetry is write-only: it never alters an RNG draw,
-    /// an evaluation, or a trace byte.
-    /// Installs a cooperative cancellation token checked at step
-    /// boundaries (see [`CancelToken`]).
-    pub fn set_cancel(&mut self, token: CancelToken) {
-        self.cancel = token;
-    }
-
-    pub fn set_obs(&mut self, obs: Obs) {
-        self.evaluator.set_obs(obs.clone());
-        self.obs = obs;
-    }
-
-    fn budget_left(&self) -> bool {
-        self.config.max_evaluations.is_none_or(|cap| self.evaluations < cap)
-            && self.config.time_budget.is_none_or(|cap| self.start_time.elapsed() < cap)
-    }
-
-    /// Executes one episode. Returns `false` — drawing no RNG values —
-    /// once the run has finished.
-    pub fn step(&mut self, rng: &mut dyn RngCore) -> bool {
-        if self.cancel.is_cancelled() {
-            // Cancelled at a step boundary: draw nothing, mutate
-            // nothing, stay snapshottable and resumable.
-            return false;
-        }
+    /// One episode.
+    fn step_inner(&mut self, core: &mut RunCore, rng: &mut dyn RngCore) -> bool {
         let mut rng = rng;
-        if self.finished || self.episode >= self.config.episodes || self.evaluator.poisoned() {
-            self.finished = true;
-            return false;
-        }
-        if !self.budget_left() {
-            self.finished = true;
+        if !core.budget_left(self.config.max_evaluations, self.config.time_budget) {
             return false;
         }
         let episode = self.episode;
@@ -345,10 +283,8 @@ where
                 let w = directions[rng.gen_range(0..directions.len())].clone();
                 if entries.is_empty() || rng.gen_bool(0.5) {
                     let s = self.problem.random_solution(rng);
-                    let (o, attempts) = self.evaluator.evaluate_one(self.problem, &s);
-                    self.evaluations += attempts;
-                    if self.evaluator.poisoned() {
-                        self.finished = true;
+                    let o = core.evaluate_one(self.problem, &s);
+                    if core.evaluator.poisoned() {
                         return false;
                     }
                     // A quarantined fresh start still descends — from the
@@ -358,7 +294,7 @@ where
                         Some(o) if !is_quarantined(&o) => {
                             self.z.update(&o);
                             self.normalizer.observe(&o);
-                            self.recorder.observe(&o);
+                            core.recorder.observe(&o);
                             self.archive.insert(s.clone(), o.clone());
                             o
                         }
@@ -370,7 +306,7 @@ where
                     (s.clone(), o.clone(), w)
                 }
             } else {
-                let _predict = self.obs.span("surrogate_predict");
+                let _predict = core.obs.span("surrogate_predict");
                 let model = self.gain_model.as_ref().expect("checked above");
                 let mut best: Option<(usize, usize, f64)> = None;
                 for (si, (s, _)) in entries.iter().enumerate() {
@@ -403,7 +339,7 @@ where
 
         // --- Episode: descend and archive ---------------------------
         let phv_before = normalized_phv(&self.archive.objectives(), &self.normalizer);
-        let ls_span = self.obs.span("local_search");
+        let ls_span = core.obs.span("local_search");
         let (accepted, spent) = weighted_descent(
             self.problem,
             &start,
@@ -413,28 +349,27 @@ where
             &self.normalizer,
             cfg.ls_max_steps,
             cfg.ls_neighbors_per_step,
-            &mut self.evaluator,
+            &mut core.evaluator,
             rng,
         );
         drop(ls_span);
-        self.evaluations += spent;
-        if self.evaluator.poisoned() {
-            self.finished = true;
+        core.evaluations += spent;
+        if core.evaluator.poisoned() {
             return false;
         }
         {
-            let _archive = self.obs.span("archive_update");
+            let _archive = core.obs.span("archive_update");
             let mut ls_improvements = 0u64;
             for (s, o) in accepted {
                 self.z.update(&o);
                 self.normalizer.observe(&o);
-                self.recorder.observe(&o);
+                core.recorder.observe(&o);
                 if self.archive.insert(s, o) {
                     ls_improvements += 1;
                 }
             }
             if ls_improvements > 0 {
-                self.obs.counter(moela_obs::names::LS_IMPROVEMENTS, ls_improvements);
+                core.obs.counter(moela_obs::names::LS_IMPROVEMENTS, ls_improvements);
             }
         }
         let phv_after = normalized_phv(&self.archive.objectives(), &self.normalizer);
@@ -444,112 +379,37 @@ where
         features.extend_from_slice(&weight);
         self.train.push_finite(features, phv_after - phv_before);
         if episode + 1 >= cfg.warmup && self.train.len() >= 8 {
-            let _fit = self.obs.span("surrogate_fit");
+            let _fit = core.obs.span("surrogate_fit");
             self.gain_model = Some(RandomForest::fit(&self.train, &cfg.forest, &mut rng));
         }
 
         {
-            let _archive = self.obs.span("archive_update");
-            self.recorder.record(
-                episode + 1,
-                self.evaluations,
-                self.start_time.elapsed(),
-                &self.archive.objectives(),
-            );
+            let _archive = core.obs.span("archive_update");
+            core.record(episode + 1, &self.archive.objectives());
         }
         self.episode = episode + 1;
-        self.obs.counter("generations", 1);
-        self.obs.gauge("archive_size", self.archive.len() as f64);
-        if let Some(point) = self.recorder.points().last() {
-            self.obs.gauge("phv", point.phv);
-        }
+        core.obs.counter("generations", 1);
+        core.obs.gauge("archive_size", self.archive.len() as f64);
+        core.gauge_phv();
         true
     }
 
-    /// Consumes the state, producing the final result.
-    pub fn finish(self) -> RunResult<P::Solution> {
-        RunResult {
-            population: self.archive.into_entries(),
-            trace: self.recorder.into_points(),
-            evaluations: self.evaluations,
-            elapsed: self.start_time.elapsed(),
-        }
+    fn snapshot_counters(&self) -> Fields {
+        vec![("episode", Value::U64(self.episode as u64))]
     }
 
-    /// Captures the complete optimizer state (the RNG is checkpointed by
-    /// the driver alongside).
-    pub fn snapshot_state<C: SolutionCodec<P::Solution>>(&self, codec: &C) -> Value {
-        Value::object(vec![
-            ("episode", Value::U64(self.episode as u64)),
-            ("finished", Value::Bool(self.finished)),
-            ("evaluations", Value::U64(self.evaluations)),
-            ("recorder", self.recorder.snapshot()),
+    fn snapshot_inner<C: SolutionCodec<P::Solution>>(&self, codec: &C) -> Fields {
+        vec![
             ("archive", archive_to_value(&self.archive, codec)),
             ("z", self.z.snapshot()),
             ("normalizer", self.normalizer.snapshot()),
             ("train", self.train.snapshot()),
             ("gain_model", self.gain_model.as_ref().map_or(Value::Null, Snapshot::snapshot)),
-            ("faults", self.evaluator.log().snapshot()),
-        ])
+        ]
     }
 
-    /// Fault counters accumulated by the guarded evaluator.
-    pub fn fault_log(&self) -> &FaultLog {
-        self.evaluator.log()
-    }
-
-    /// The latched `Fail`-policy fault, if one stopped the run.
-    pub fn fault_error(&self) -> Option<&EvalFault> {
-        self.evaluator.error()
-    }
-}
-
-impl<'p, P, C> Resumable<C> for MoosState<'p, P>
-where
-    P: Problem + Sync,
-    P::Solution: Sync,
-    C: SolutionCodec<P::Solution>,
-{
-    type Solution = P::Solution;
-
-    fn completed(&self) -> u64 {
-        MoosState::completed(self)
-    }
-
-    fn step(&mut self, rng: &mut dyn RngCore) -> bool {
-        MoosState::step(self, rng)
-    }
-
-    fn snapshot_state(&self, codec: &C) -> Value {
-        MoosState::snapshot_state(self, codec)
-    }
-
-    fn finish(self) -> RunResult<P::Solution> {
-        MoosState::finish(self)
-    }
-
-    fn fault_log(&self) -> Option<&FaultLog> {
-        Some(MoosState::fault_log(self))
-    }
-
-    fn fault_error(&self) -> Option<&EvalFault> {
-        MoosState::fault_error(self)
-    }
-
-    fn set_cancel(&mut self, token: CancelToken) {
-        MoosState::set_cancel(self, token);
-    }
-
-    fn set_obs(&mut self, obs: Obs) {
-        MoosState::set_obs(self, obs);
-    }
-
-    fn evaluations(&self) -> u64 {
-        MoosState::evaluations(self)
-    }
-
-    fn latest_phv(&self) -> Option<f64> {
-        self.recorder.points().last().map(|p| p.phv)
+    fn finish_inner(self, _core: &mut RunCore) -> Vec<(P::Solution, Vec<f64>)> {
+        self.archive.into_entries()
     }
 }
 
@@ -568,6 +428,7 @@ impl<S: Clone> ArchiveView<S> for ParetoArchive<S> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use moela_moo::checkpoint::Resumable;
     use moela_moo::metrics::igd;
     use moela_moo::problems::Zdt;
     use moela_persist::VecF64Codec;

@@ -4,18 +4,17 @@
 //! The run loop is exposed as a checkpointable state machine
 //! ([`Nsga2State`], one step per generation).
 
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 use rand::{Rng, RngCore};
 
-use moela_moo::checkpoint::{CancelToken, Resumable};
-use moela_moo::fault::{fault_log_from, is_quarantined, EvalFault, FaultConfig, FaultLog};
+use moela_moo::checkpoint::{Algorithm, Fields, Run, RunCore};
+use moela_moo::fault::{is_quarantined, FaultConfig};
 use moela_moo::pareto::{crowding_distance, non_dominated_sort};
-use moela_moo::run::{RunResult, TraceRecorder};
+use moela_moo::run::RunResult;
 use moela_moo::snapshot::{entries_from_value, entries_to_value};
-use moela_moo::{GuardedEvaluator, Problem};
-use moela_obs::Obs;
-use moela_persist::{PersistError, Restore, Snapshot, SolutionCodec, Value};
+use moela_moo::Problem;
+use moela_persist::{PersistError, SolutionCodec, Value};
 
 /// NSGA-II parameters.
 #[derive(Clone, Debug, PartialEq)]
@@ -94,8 +93,9 @@ where
     /// Runs NSGA-II and returns the final population with its trace.
     ///
     /// Each generation's offspring are generated sequentially from `rng`,
-    /// then evaluated as one batch through a [`GuardedEvaluator`] sized
-    /// by [`Nsga2Config::threads`] — results are bit-identical for every
+    /// then evaluated as one batch through a
+    /// [`GuardedEvaluator`](moela_moo::GuardedEvaluator) sized by
+    /// [`Nsga2Config::threads`] — results are bit-identical for every
     /// thread count. When the evaluation budget runs out mid-generation,
     /// the partial offspring batch still enters environmental selection
     /// (those evaluations are paid for) and the trace records it.
@@ -111,18 +111,11 @@ where
     pub fn start(&self, rng: &mut dyn RngCore) -> Nsga2State<'p, P> {
         let cfg = self.config.clone();
         let m = self.problem.objective_count();
-        let start_time = Instant::now();
-        let mut evaluator = GuardedEvaluator::new(cfg.threads, cfg.fault);
-        let mut evaluations = 0u64;
-        let mut recorder = match &cfg.trace_normalizer {
-            Some(n) => TraceRecorder::with_fixed_normalizer(n.clone()),
-            None => TraceRecorder::new(m),
-        };
+        let mut core = RunCore::new(m, cfg.trace_normalizer.as_ref(), cfg.threads, cfg.fault);
 
         let candidates: Vec<P::Solution> =
             (0..cfg.population).map(|_| self.problem.random_solution(rng)).collect();
-        let batch = evaluator.evaluate(self.problem, &candidates);
-        evaluations += batch.attempts;
+        let batch = core.evaluate(self.problem, &candidates);
         // Dropped initial slots are materialized as penalty vectors so the
         // population keeps its size; penalty members sink to the last front
         // and are bred out, and they never feed the trace normalizer.
@@ -131,28 +124,14 @@ where
             .zip(batch.materialized(m))
             .map(|(s, o)| {
                 if !is_quarantined(&o) {
-                    recorder.observe(&o);
+                    core.recorder.observe(&o);
                 }
                 (s, o)
             })
             .collect();
         let objs: Vec<Vec<f64>> = pop.iter().map(|(_, o)| o.clone()).collect();
-        recorder.record(0, evaluations, start_time.elapsed(), &objs);
-        let evaluator_poisoned = evaluator.poisoned();
-
-        Nsga2State {
-            config: cfg,
-            problem: self.problem,
-            evaluator,
-            start_time,
-            evaluations,
-            recorder,
-            pop,
-            generation: 0,
-            finished: evaluator_poisoned,
-            obs: Obs::disabled(),
-            cancel: CancelToken::default(),
-        }
+        core.record(0, &objs);
+        Run::new(core, Nsga2Algo { config: cfg, problem: self.problem, pop, generation: 0 })
     }
 
     /// Rebuilds a mid-run state from a [`Nsga2State::snapshot_state`]
@@ -172,106 +151,57 @@ where
         if pop.iter().any(|(_, o)| o.len() != m) {
             return Err(PersistError::schema("checkpointed objective dimensionality mismatch"));
         }
-        Ok(Nsga2State {
-            evaluator: GuardedEvaluator::from_parts(
-                cfg.threads,
-                cfg.fault,
-                fault_log_from(value, "faults")?,
-            ),
-            config: cfg,
-            problem: self.problem,
-            start_time: Instant::now().checked_sub(elapsed).unwrap_or_else(Instant::now),
-            evaluations: value.field("evaluations")?.as_u64()?,
-            recorder: TraceRecorder::restore(value.field("recorder")?)?,
-            pop,
-            generation: value.field("generation")?.as_usize()?,
-            finished: value.field("finished")?.as_bool()?,
-            obs: Obs::disabled(),
-            cancel: CancelToken::default(),
-        })
+        let core = RunCore::restore(value, elapsed, cfg.threads, cfg.fault)?;
+        let generation = value.field("generation")?.as_usize()?;
+        Ok(Run::new(core, Nsga2Algo { config: cfg, problem: self.problem, pop, generation }))
     }
 }
 
 /// An NSGA-II run in progress, checkpointable between generations.
+pub type Nsga2State<'p, P> = Run<Nsga2Algo<'p, P>>;
+
+/// NSGA-II's own state inside an [`Nsga2State`].
 #[derive(Debug)]
-pub struct Nsga2State<'p, P: Problem> {
+pub struct Nsga2Algo<'p, P: Problem> {
     config: Nsga2Config,
     problem: &'p P,
-    evaluator: GuardedEvaluator,
-    start_time: Instant,
-    evaluations: u64,
-    recorder: TraceRecorder,
     pop: Vec<(P::Solution, Vec<f64>)>,
     generation: usize,
-    finished: bool,
-    /// Telemetry handle (never checkpointed; disabled by default).
-    obs: Obs,
-    /// Cooperative cancellation flag (never checkpointed; inert
-    /// unless the driver installs a shared token).
-    cancel: CancelToken,
 }
 
-impl<'p, P> Nsga2State<'p, P>
+impl<'p, P> Algorithm for Nsga2Algo<'p, P>
 where
     P: Problem + Sync,
     P::Solution: Sync,
 {
-    /// Completed generations.
-    pub fn completed(&self) -> u64 {
+    type Solution = P::Solution;
+
+    fn completed(&self) -> u64 {
         self.generation as u64
     }
 
-    /// Objective evaluations paid for so far.
-    pub fn evaluations(&self) -> u64 {
-        self.evaluations
+    fn exhausted(&self) -> bool {
+        self.generation >= self.config.generations
     }
 
-    /// Installs the observability handle phase spans are reported
-    /// through. Telemetry is write-only: it never alters an RNG draw,
-    /// an evaluation, or a trace byte.
-    /// Installs a cooperative cancellation token checked at step
-    /// boundaries (see [`CancelToken`]).
-    pub fn set_cancel(&mut self, token: CancelToken) {
-        self.cancel = token;
-    }
-
-    pub fn set_obs(&mut self, obs: Obs) {
-        self.evaluator.set_obs(obs.clone());
-        self.obs = obs;
-    }
-
-    /// Executes one generation. Returns `false` — drawing no RNG values —
-    /// once the run has finished.
-    pub fn step(&mut self, rng: &mut dyn RngCore) -> bool {
-        if self.cancel.is_cancelled() {
-            // Cancelled at a step boundary: draw nothing, mutate
-            // nothing, stay snapshottable and resumable.
-            return false;
-        }
-        if self.finished || self.generation >= self.config.generations || self.evaluator.poisoned()
-        {
-            self.finished = true;
-            return false;
-        }
+    /// One generation.
+    fn step_inner(&mut self, core: &mut RunCore, rng: &mut dyn RngCore) -> bool {
         let cfg = &self.config;
         let generation = self.generation;
-        if cfg.time_budget.is_some_and(|cap| self.start_time.elapsed() >= cap) {
-            self.finished = true;
+        if core.time_up(cfg.time_budget) {
             return false;
         }
         // Cap the offspring batch to the remaining evaluation budget;
         // a partial batch is still selected over and recorded.
-        let remaining =
-            cfg.max_evaluations.map_or(u64::MAX, |cap| cap.saturating_sub(self.evaluations));
+        let remaining = core.remaining(cfg.max_evaluations);
         if remaining == 0 {
-            self.finished = true;
             return false;
         }
         let n_children = remaining.min(cfg.population as u64) as usize;
         let partial = n_children < cfg.population;
 
         // Rank the current population for tournament selection.
-        let rank_span = self.obs.span("select");
+        let rank_span = core.obs.span("select");
         let objs: Vec<Vec<f64>> = self.pop.iter().map(|(_, o)| o.clone()).collect();
         let fronts = non_dominated_sort(&objs);
         let mut rank = vec![0usize; self.pop.len()];
@@ -298,7 +228,7 @@ where
 
         // Offspring generation: children first (sequential RNG), then
         // one batched evaluation.
-        let mate_span = self.obs.span("mate");
+        let mate_span = core.obs.span("mate");
         let children: Vec<P::Solution> = (0..n_children)
             .map(|_| {
                 let pa = tournament(rng);
@@ -307,10 +237,8 @@ where
             })
             .collect();
         drop(mate_span);
-        let batch = self.evaluator.evaluate(self.problem, &children);
-        self.evaluations += batch.attempts;
-        if self.evaluator.poisoned() {
-            self.finished = true;
+        let batch = core.evaluate(self.problem, &children);
+        if core.evaluator.poisoned() {
             return false;
         }
         // Skipped offspring simply shrink the batch — environmental
@@ -321,14 +249,14 @@ where
             .filter_map(|(child, o)| o.map(|o| (child, o)))
             .filter(|(_, o)| !is_quarantined(o))
             .map(|(child, o)| {
-                self.recorder.observe(&o);
+                core.recorder.observe(&o);
                 (child, o)
             })
             .collect();
 
         // Environmental selection over parents ∪ offspring.
         {
-            let _select = self.obs.span("select");
+            let _select = core.obs.span("select");
             let offspring_objs: Vec<Vec<f64>> = offspring.iter().map(|(_, o)| o.clone()).collect();
             self.pop.extend(offspring);
             self.pop = environmental_selection(std::mem::take(&mut self.pop), cfg.population);
@@ -348,111 +276,30 @@ where
                 })
                 .count() as u64;
             if survivors > 0 {
-                self.obs.counter(moela_obs::names::EA_IMPROVEMENTS, survivors);
+                core.obs.counter(moela_obs::names::EA_IMPROVEMENTS, survivors);
             }
         }
         let objs: Vec<Vec<f64>> = self.pop.iter().map(|(_, o)| o.clone()).collect();
         {
-            let _archive = self.obs.span("archive_update");
-            self.recorder.record(
-                generation + 1,
-                self.evaluations,
-                self.start_time.elapsed(),
-                &objs,
-            );
+            let _archive = core.obs.span("archive_update");
+            core.record(generation + 1, &objs);
         }
         self.generation = generation + 1;
-        self.obs.counter("generations", 1);
-        if let Some(point) = self.recorder.points().last() {
-            self.obs.gauge("phv", point.phv);
-        }
-        if partial {
-            self.finished = true;
-            return false;
-        }
-        true
+        core.obs.counter("generations", 1);
+        core.gauge_phv();
+        !partial
     }
 
-    /// Consumes the state, producing the final result.
-    pub fn finish(self) -> RunResult<P::Solution> {
-        RunResult {
-            population: self.pop,
-            trace: self.recorder.into_points(),
-            evaluations: self.evaluations,
-            elapsed: self.start_time.elapsed(),
-        }
+    fn snapshot_counters(&self) -> Fields {
+        vec![("generation", Value::U64(self.generation as u64))]
     }
 
-    /// Captures the complete optimizer state (the RNG is checkpointed by
-    /// the driver alongside).
-    pub fn snapshot_state<C: SolutionCodec<P::Solution>>(&self, codec: &C) -> Value {
-        Value::object(vec![
-            ("generation", Value::U64(self.generation as u64)),
-            ("finished", Value::Bool(self.finished)),
-            ("evaluations", Value::U64(self.evaluations)),
-            ("recorder", self.recorder.snapshot()),
-            ("population", entries_to_value(&self.pop, codec)),
-            ("faults", self.evaluator.log().snapshot()),
-        ])
+    fn snapshot_inner<C: SolutionCodec<P::Solution>>(&self, codec: &C) -> Fields {
+        vec![("population", entries_to_value(&self.pop, codec))]
     }
 
-    /// Fault counters accumulated by the guarded evaluator.
-    pub fn fault_log(&self) -> &FaultLog {
-        self.evaluator.log()
-    }
-
-    /// The latched `Fail`-policy fault, if one stopped the run.
-    pub fn fault_error(&self) -> Option<&EvalFault> {
-        self.evaluator.error()
-    }
-}
-
-impl<'p, P, C> Resumable<C> for Nsga2State<'p, P>
-where
-    P: Problem + Sync,
-    P::Solution: Sync,
-    C: SolutionCodec<P::Solution>,
-{
-    type Solution = P::Solution;
-
-    fn completed(&self) -> u64 {
-        Nsga2State::completed(self)
-    }
-
-    fn step(&mut self, rng: &mut dyn RngCore) -> bool {
-        Nsga2State::step(self, rng)
-    }
-
-    fn snapshot_state(&self, codec: &C) -> Value {
-        Nsga2State::snapshot_state(self, codec)
-    }
-
-    fn finish(self) -> RunResult<P::Solution> {
-        Nsga2State::finish(self)
-    }
-
-    fn fault_log(&self) -> Option<&FaultLog> {
-        Some(Nsga2State::fault_log(self))
-    }
-
-    fn fault_error(&self) -> Option<&EvalFault> {
-        Nsga2State::fault_error(self)
-    }
-
-    fn set_cancel(&mut self, token: CancelToken) {
-        Nsga2State::set_cancel(self, token);
-    }
-
-    fn set_obs(&mut self, obs: Obs) {
-        Nsga2State::set_obs(self, obs);
-    }
-
-    fn evaluations(&self) -> u64 {
-        Nsga2State::evaluations(self)
-    }
-
-    fn latest_phv(&self) -> Option<f64> {
-        self.recorder.points().last().map(|p| p.phv)
+    fn finish_inner(self, _core: &mut RunCore) -> Vec<(P::Solution, Vec<f64>)> {
+        self.pop
     }
 }
 
@@ -485,6 +332,7 @@ fn environmental_selection<S: Clone>(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use moela_moo::checkpoint::Resumable;
     use moela_moo::metrics::igd;
     use moela_moo::problems::Zdt;
     use moela_persist::VecF64Codec;

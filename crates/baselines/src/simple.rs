@@ -2,20 +2,19 @@
 //! local search (no learning). These bracket the sophisticated algorithms
 //! from below in the benchmark harness and sanity-check the test suite.
 
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 use rand::{Rng, RngCore};
 
 use moela_moo::archive::ParetoArchive;
-use moela_moo::checkpoint::{CancelToken, Resumable};
-use moela_moo::fault::{fault_log_from, is_quarantined, EvalFault, FaultConfig, FaultLog};
+use moela_moo::checkpoint::{Algorithm, Fields, Run, RunCore};
+use moela_moo::fault::{is_quarantined, FaultConfig};
 use moela_moo::normalize::Normalizer;
-use moela_moo::run::{RunResult, TraceRecorder};
+use moela_moo::run::RunResult;
 use moela_moo::scalarize::ReferencePoint;
 use moela_moo::snapshot::{archive_from_value, archive_to_value};
 use moela_moo::weights::uniform_weights;
-use moela_moo::{GuardedEvaluator, Problem};
-use moela_obs::Obs;
+use moela_moo::Problem;
 use moela_persist::{PersistError, SolutionCodec, Value};
 
 use crate::common::weighted_descent;
@@ -97,24 +96,15 @@ where
     P::Solution: Sync,
 {
     let m = problem.objective_count();
-    let recorder = match &config.trace_normalizer {
-        Some(n) => TraceRecorder::with_fixed_normalizer(n.clone()),
-        None => TraceRecorder::new(m),
-    };
-    RandomSearchState {
-        evaluator: GuardedEvaluator::new(config.threads, config.fault),
+    let core = RunCore::new(m, config.trace_normalizer.as_ref(), config.threads, config.fault);
+    let algo = RandomSearchAlgo {
         config: config.clone(),
         problem,
-        start_time: Instant::now(),
-        evaluations: 0,
-        recorder,
         archive: ParetoArchive::bounded(config.archive_cap),
         drawn: 0,
         chunks: 0,
-        finished: false,
-        obs: Obs::disabled(),
-        cancel: CancelToken::default(),
-    }
+    };
+    Run::new(core, algo)
 }
 
 /// Rebuilds a mid-run state from a [`RandomSearchState::snapshot_state`]
@@ -131,228 +121,104 @@ where
     P::Solution: Sync,
     C: SolutionCodec<P::Solution>,
 {
-    use moela_persist::Restore;
     let drawn = value.field("drawn")?.as_u64()?;
     if drawn > config.samples {
         return Err(PersistError::schema("checkpoint drew more samples than configured"));
     }
-    Ok(RandomSearchState {
-        evaluator: GuardedEvaluator::from_parts(
-            config.threads,
-            config.fault,
-            fault_log_from(value, "faults")?,
-        ),
+    let core = RunCore::restore(value, elapsed, config.threads, config.fault)?;
+    let algo = RandomSearchAlgo {
         config: config.clone(),
         problem,
-        start_time: Instant::now().checked_sub(elapsed).unwrap_or_else(Instant::now),
-        evaluations: value.field("evaluations")?.as_u64()?,
-        recorder: TraceRecorder::restore(value.field("recorder")?)?,
         archive: archive_from_value(value.field("archive")?, codec)?,
         drawn,
         chunks: value.field("chunks")?.as_u64()?,
-        finished: value.field("finished")?.as_bool()?,
-        obs: Obs::disabled(),
-        cancel: CancelToken::default(),
-    })
+    };
+    Ok(Run::new(core, algo))
 }
 
 /// A random-search run in progress, checkpointable between trace chunks.
+pub type RandomSearchState<'p, P> = Run<RandomSearchAlgo<'p, P>>;
+
+/// Random search's own state inside a [`RandomSearchState`].
 #[derive(Debug)]
-pub struct RandomSearchState<'p, P: Problem> {
+pub struct RandomSearchAlgo<'p, P: Problem> {
     config: RandomSearchConfig,
     problem: &'p P,
-    evaluator: GuardedEvaluator,
-    start_time: Instant,
-    evaluations: u64,
-    recorder: TraceRecorder,
     archive: ParetoArchive<P::Solution>,
     drawn: u64,
     chunks: u64,
-    finished: bool,
-    /// Telemetry handle (never checkpointed; disabled by default).
-    obs: Obs,
-    /// Cooperative cancellation flag (never checkpointed; inert
-    /// unless the driver installs a shared token).
-    cancel: CancelToken,
 }
 
-impl<'p, P> RandomSearchState<'p, P>
+impl<'p, P> Algorithm for RandomSearchAlgo<'p, P>
 where
     P: Problem + Sync,
     P::Solution: Sync,
 {
+    type Solution = P::Solution;
+
     /// Completed chunks (checkpoint boundaries, not samples).
-    pub fn completed(&self) -> u64 {
+    fn completed(&self) -> u64 {
         self.chunks
     }
 
-    /// Objective evaluations paid for so far.
-    pub fn evaluations(&self) -> u64 {
-        self.evaluations
-    }
-
-    /// Installs the observability handle phase spans are reported
-    /// through. Telemetry is write-only: it never alters an RNG draw,
-    /// an evaluation, or a trace byte.
-    /// Installs a cooperative cancellation token checked at step
-    /// boundaries (see [`CancelToken`]).
-    pub fn set_cancel(&mut self, token: CancelToken) {
-        self.cancel = token;
-    }
-
-    pub fn set_obs(&mut self, obs: Obs) {
-        self.evaluator.set_obs(obs.clone());
-        self.obs = obs;
+    fn exhausted(&self) -> bool {
+        self.drawn >= self.config.samples
     }
 
     /// Draws and evaluates one chunk of samples, aligned to the trace
     /// granularity so the trace is identical to the old one-at-a-time
     /// loop (the wall-clock budget is checked per chunk rather than per
-    /// sample). Returns `false` — drawing no RNG values — once the run
-    /// has finished.
-    pub fn step(&mut self, rng: &mut dyn RngCore) -> bool {
-        if self.cancel.is_cancelled() {
-            // Cancelled at a step boundary: draw nothing, mutate
-            // nothing, stay snapshottable and resumable.
-            return false;
-        }
-        if self.finished || self.drawn >= self.config.samples {
-            self.finished = true;
-            return false;
-        }
-        if self.config.time_budget.is_some_and(|cap| self.start_time.elapsed() >= cap) {
-            self.finished = true;
-            return false;
-        }
+    /// sample).
+    fn step_inner(&mut self, core: &mut RunCore, rng: &mut dyn RngCore) -> bool {
         let cfg = &self.config;
+        if core.time_up(cfg.time_budget) {
+            return false;
+        }
         let chunk = if cfg.trace_every > 0 { cfg.trace_every } else { 64 };
         let n = chunk.min(cfg.samples - self.drawn) as usize;
         let candidates: Vec<P::Solution> =
             (0..n).map(|_| self.problem.random_solution(rng)).collect();
-        let batch = self.evaluator.evaluate(self.problem, &candidates);
-        self.evaluations += batch.attempts;
-        if self.evaluator.poisoned() {
-            self.finished = true;
+        let batch = core.evaluate(self.problem, &candidates);
+        if core.evaluator.poisoned() {
             return false;
         }
         {
-            let _archive = self.obs.span("archive_update");
+            let _archive = core.obs.span("archive_update");
             for (s, o) in candidates.into_iter().zip(batch.objectives) {
                 let Some(o) = o else { continue };
                 if is_quarantined(&o) {
                     continue;
                 }
-                self.recorder.observe(&o);
+                core.recorder.observe(&o);
                 self.archive.insert(s, o);
             }
             self.drawn += n as u64;
             if cfg.trace_every > 0 && self.drawn.is_multiple_of(cfg.trace_every) {
-                self.recorder.record(
+                core.record(
                     ((self.drawn - 1) / cfg.trace_every) as usize,
-                    self.evaluations,
-                    self.start_time.elapsed(),
                     &self.archive.objectives(),
                 );
             }
         }
         self.chunks += 1;
-        self.obs.counter("generations", 1);
-        self.obs.gauge("archive_size", self.archive.len() as f64);
-        if let Some(point) = self.recorder.points().last() {
-            self.obs.gauge("phv", point.phv);
-        }
+        core.obs.counter("generations", 1);
+        core.obs.gauge("archive_size", self.archive.len() as f64);
+        core.gauge_phv();
         true
     }
 
-    /// Consumes the state, recording the final trace point and producing
-    /// the result.
-    pub fn finish(mut self) -> RunResult<P::Solution> {
-        self.recorder.record(
-            self.config.samples as usize,
-            self.evaluations,
-            self.start_time.elapsed(),
-            &self.archive.objectives(),
-        );
-        RunResult {
-            population: self.archive.into_entries(),
-            trace: self.recorder.into_points(),
-            evaluations: self.evaluations,
-            elapsed: self.start_time.elapsed(),
-        }
+    fn snapshot_counters(&self) -> Fields {
+        vec![("drawn", Value::U64(self.drawn)), ("chunks", Value::U64(self.chunks))]
     }
 
-    /// Captures the complete optimizer state (the RNG is checkpointed by
-    /// the driver alongside).
-    pub fn snapshot_state<C: SolutionCodec<P::Solution>>(&self, codec: &C) -> Value {
-        use moela_persist::Snapshot;
-        Value::object(vec![
-            ("drawn", Value::U64(self.drawn)),
-            ("chunks", Value::U64(self.chunks)),
-            ("finished", Value::Bool(self.finished)),
-            ("evaluations", Value::U64(self.evaluations)),
-            ("recorder", self.recorder.snapshot()),
-            ("archive", archive_to_value(&self.archive, codec)),
-            ("faults", self.evaluator.log().snapshot()),
-        ])
+    fn snapshot_inner<C: SolutionCodec<P::Solution>>(&self, codec: &C) -> Fields {
+        vec![("archive", archive_to_value(&self.archive, codec))]
     }
 
-    /// Fault counters accumulated by the guarded evaluator.
-    pub fn fault_log(&self) -> &FaultLog {
-        self.evaluator.log()
-    }
-
-    /// The latched `Fail`-policy fault, if one stopped the run.
-    pub fn fault_error(&self) -> Option<&EvalFault> {
-        self.evaluator.error()
-    }
-}
-
-impl<'p, P, C> Resumable<C> for RandomSearchState<'p, P>
-where
-    P: Problem + Sync,
-    P::Solution: Sync,
-    C: SolutionCodec<P::Solution>,
-{
-    type Solution = P::Solution;
-
-    fn completed(&self) -> u64 {
-        RandomSearchState::completed(self)
-    }
-
-    fn step(&mut self, rng: &mut dyn RngCore) -> bool {
-        RandomSearchState::step(self, rng)
-    }
-
-    fn snapshot_state(&self, codec: &C) -> Value {
-        RandomSearchState::snapshot_state(self, codec)
-    }
-
-    fn finish(self) -> RunResult<P::Solution> {
-        RandomSearchState::finish(self)
-    }
-
-    fn fault_log(&self) -> Option<&FaultLog> {
-        Some(RandomSearchState::fault_log(self))
-    }
-
-    fn fault_error(&self) -> Option<&EvalFault> {
-        RandomSearchState::fault_error(self)
-    }
-
-    fn set_cancel(&mut self, token: CancelToken) {
-        RandomSearchState::set_cancel(self, token);
-    }
-
-    fn set_obs(&mut self, obs: Obs) {
-        RandomSearchState::set_obs(self, obs);
-    }
-
-    fn evaluations(&self) -> u64 {
-        RandomSearchState::evaluations(self)
-    }
-
-    fn latest_phv(&self) -> Option<f64> {
-        self.recorder.points().last().map(|p| p.phv)
+    /// Records the final trace point.
+    fn finish_inner(self, core: &mut RunCore) -> Vec<(P::Solution, Vec<f64>)> {
+        core.record(self.config.samples as usize, &self.archive.objectives());
+        self.archive.into_entries()
     }
 }
 
@@ -415,28 +281,19 @@ where
 {
     let rng: &mut dyn RngCore = rng;
     let m = problem.objective_count();
-    let start_time = Instant::now();
-    let mut evaluator = GuardedEvaluator::new(config.threads, config.fault);
-    let mut recorder = match &config.trace_normalizer {
-        Some(n) => TraceRecorder::with_fixed_normalizer(n.clone()),
-        None => TraceRecorder::new(m),
-    };
+    let mut core = RunCore::new(m, config.trace_normalizer.as_ref(), config.threads, config.fault);
     let mut archive: ParetoArchive<P::Solution> = ParetoArchive::bounded(config.archive_cap);
     let mut z = ReferencePoint::new(m);
     let mut normalizer = Normalizer::new(m);
     let directions = uniform_weights(config.directions.max(1), m);
-    let mut evaluations = 0u64;
 
     for restart in 0..config.restarts {
-        if config.max_evaluations.is_some_and(|cap| evaluations >= cap)
-            || config.time_budget.is_some_and(|cap| start_time.elapsed() >= cap)
-        {
+        if !core.budget_left(config.max_evaluations, config.time_budget) {
             break;
         }
         let start = problem.random_solution(rng);
-        let (start_objs, attempts) = evaluator.evaluate_one(problem, &start);
-        evaluations += attempts;
-        if evaluator.poisoned() {
+        let start_objs = core.evaluate_one(problem, &start);
+        if core.evaluator.poisoned() {
             break; // a Fail-policy fault latched; stop restarting
         }
         // A quarantined start (faulted under Skip/PenalizeWorst) has no
@@ -446,7 +303,7 @@ where
         if let Some(start_objs) = start_objs.filter(|_| usable) {
             z.update(&start_objs);
             normalizer.observe(&start_objs);
-            recorder.observe(&start_objs);
+            core.recorder.observe(&start_objs);
             archive.insert(start.clone(), start_objs.clone());
 
             let weight = &directions[restart % directions.len()];
@@ -459,34 +316,30 @@ where
                 &normalizer,
                 config.ls_max_steps,
                 config.ls_neighbors_per_step,
-                &mut evaluator,
+                &mut core.evaluator,
                 rng,
             );
-            evaluations += spent;
-            if evaluator.poisoned() {
-                recorder.record(
-                    restart + 1,
-                    evaluations,
-                    start_time.elapsed(),
-                    &archive.objectives(),
-                );
+            core.evaluations += spent;
+            if core.evaluator.poisoned() {
+                core.record(restart + 1, &archive.objectives());
                 break;
             }
             for (s, o) in accepted {
                 z.update(&o);
                 normalizer.observe(&o);
-                recorder.observe(&o);
+                core.recorder.observe(&o);
                 archive.insert(s, o);
             }
         }
-        recorder.record(restart + 1, evaluations, start_time.elapsed(), &archive.objectives());
+        core.record(restart + 1, &archive.objectives());
     }
 
+    let elapsed = core.elapsed();
     RunResult {
         population: archive.into_entries(),
-        trace: recorder.into_points(),
-        evaluations,
-        elapsed: start_time.elapsed(),
+        trace: core.recorder.into_points(),
+        evaluations: core.evaluations,
+        elapsed,
     }
 }
 

@@ -419,7 +419,7 @@ where
              penalize-worst or skip to contain faults and continue)"
         )));
     }
-    let log = state.fault_log().copied().unwrap_or_default();
+    let log = *state.fault_log();
     Ok(Driven::Finished(state.finish(), log))
 }
 
@@ -520,6 +520,21 @@ where
         None => (None, StdRng::seed_from_u64(opts.seed)),
     };
     let base_elapsed = point.as_ref().map_or(Duration::ZERO, |p| p.elapsed);
+    // Every arm drives its own state type through the same call.
+    macro_rules! drive_state {
+        ($state:expr) => {
+            drive(
+                $state,
+                &mut rng,
+                codec,
+                persistence,
+                base_elapsed,
+                chaos_ordinal,
+                telemetry,
+                hooks,
+            )
+        };
+    }
     match opts.algorithm {
         Algorithm::Moela => {
             let config = MoelaConfig::builder()
@@ -533,20 +548,10 @@ where
                 .build()
                 .map_err(|e| fail(format!("invalid MOELA configuration: {e}")))?;
             let moela = Moela::new(config, problem);
-            let state = match &point {
+            drive_state!(match &point {
                 Some(p) => moela.restore(codec, &p.state, p.elapsed)?,
                 None => moela.start(&mut rng),
-            };
-            drive(
-                state,
-                &mut rng,
-                codec,
-                persistence,
-                base_elapsed,
-                chaos_ordinal,
-                telemetry,
-                hooks,
-            )
+            })
         }
         Algorithm::Moead => {
             let config = MoeadConfig {
@@ -561,20 +566,10 @@ where
                 ..Default::default()
             };
             let moead = Moead::new(config, problem);
-            let state = match &point {
+            drive_state!(match &point {
                 Some(p) => moead.restore(codec, &p.state, p.elapsed)?,
                 None => moead.start(&mut rng),
-            };
-            drive(
-                state,
-                &mut rng,
-                codec,
-                persistence,
-                base_elapsed,
-                chaos_ordinal,
-                telemetry,
-                hooks,
-            )
+            })
         }
         Algorithm::Moos => {
             let config = MoosConfig {
@@ -587,20 +582,10 @@ where
                 ..Default::default()
             };
             let moos = Moos::new(config, problem);
-            let state = match &point {
+            drive_state!(match &point {
                 Some(p) => moos.restore(codec, &p.state, p.elapsed)?,
                 None => moos.start(&mut rng),
-            };
-            drive(
-                state,
-                &mut rng,
-                codec,
-                persistence,
-                base_elapsed,
-                chaos_ordinal,
-                telemetry,
-                hooks,
-            )
+            })
         }
         Algorithm::MooStage => {
             let config = MooStageConfig {
@@ -613,20 +598,10 @@ where
                 ..Default::default()
             };
             let stage = MooStage::new(config, problem);
-            let state = match &point {
+            drive_state!(match &point {
                 Some(p) => stage.restore(codec, &p.state, p.elapsed)?,
                 None => stage.start(&mut rng),
-            };
-            drive(
-                state,
-                &mut rng,
-                codec,
-                persistence,
-                base_elapsed,
-                chaos_ordinal,
-                telemetry,
-                hooks,
-            )
+            })
         }
         Algorithm::Nsga2 => {
             let config = Nsga2Config {
@@ -639,20 +614,10 @@ where
                 fault: opts.fault(),
             };
             let nsga2 = Nsga2::new(config, problem);
-            let state = match &point {
+            drive_state!(match &point {
                 Some(p) => nsga2.restore(codec, &p.state, p.elapsed)?,
                 None => nsga2.start(&mut rng),
-            };
-            drive(
-                state,
-                &mut rng,
-                codec,
-                persistence,
-                base_elapsed,
-                chaos_ordinal,
-                telemetry,
-                hooks,
-            )
+            })
         }
         Algorithm::Random => {
             let config = RandomSearchConfig {
@@ -662,20 +627,10 @@ where
                 fault: opts.fault(),
                 ..Default::default()
             };
-            let state = match &point {
+            drive_state!(match &point {
                 Some(p) => random_search_restore(&config, problem, codec, &p.state, p.elapsed)?,
                 None => random_search_start(&config, problem),
-            };
-            drive(
-                state,
-                &mut rng,
-                codec,
-                persistence,
-                base_elapsed,
-                chaos_ordinal,
-                telemetry,
-                hooks,
-            )
+            })
         }
     }
 }

@@ -14,23 +14,22 @@
 //!    Tchebycheff neighborhoods with probability `δ`.
 //!
 //! The run loop is exposed as a checkpointable state machine
-//! ([`MoelaState`], one [`Resumable::step`] per generation) so a run can
+//! ([`MoelaState`], one [`Run::step`] per generation) so a run can
 //! be snapshotted at any generation boundary and resumed bit-identically.
 
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 use rand::seq::SliceRandom;
 use rand::{Rng, RngCore};
 
 use moela_ml::{Dataset, RandomForest};
-use moela_moo::checkpoint::{CancelToken, Resumable};
-use moela_moo::fault::{fault_log_from, is_quarantined, EvalFault, FaultLog};
+use moela_moo::checkpoint::{Algorithm, Fields, Run, RunCore};
+use moela_moo::fault::is_quarantined;
 use moela_moo::normalize::Normalizer;
-use moela_moo::run::{RunResult, TraceRecorder};
+use moela_moo::run::RunResult;
 use moela_moo::scalarize::{ReferencePoint, Scalarizer};
 use moela_moo::snapshot::entries_from_value;
-use moela_moo::{GuardedEvaluator, Problem};
-use moela_obs::Obs;
+use moela_moo::Problem;
 use moela_persist::{PersistError, Restore, Snapshot, SolutionCodec, Value};
 
 use crate::config::MoelaConfig;
@@ -102,13 +101,7 @@ where
     pub fn start(&self, rng: &mut dyn RngCore) -> MoelaState<'p, P> {
         let cfg = self.config.clone();
         let m = self.problem.objective_count();
-        let start_time = Instant::now();
-        let mut evaluations = 0u64;
-        let mut recorder = match &cfg.trace_normalizer {
-            Some(n) => TraceRecorder::with_fixed_normalizer(n.clone()),
-            None => TraceRecorder::new(m),
-        };
-        let mut evaluator = GuardedEvaluator::new(cfg.threads, cfg.fault);
+        let mut core = RunCore::new(m, cfg.trace_normalizer.as_ref(), cfg.threads, cfg.fault);
 
         // Initialization: N random designs, one per weight vector, drawn
         // sequentially and evaluated as one batch. The population
@@ -117,38 +110,30 @@ where
         // retired by selection pressure and never reach front or scale).
         let candidates: Vec<P::Solution> =
             (0..cfg.population).map(|_| self.problem.random_solution(rng)).collect();
-        let batch = evaluator.evaluate(self.problem, &candidates);
-        evaluations += batch.attempts;
-        let objective_batch = batch.materialized(m);
+        let objective_batch = core.evaluate(self.problem, &candidates).materialized(m);
         let individuals: Vec<Individual<P::Solution>> = candidates
             .into_iter()
             .zip(objective_batch)
             .map(|(solution, objectives)| {
-                recorder.observe(&objectives);
+                core.recorder.observe(&objectives);
                 Individual { solution, objectives }
             })
             .collect();
         let population = Population::new(individuals, m, cfg.neighborhood);
         let train = Dataset::with_capacity(cfg.train_cap);
-        recorder.record(0, evaluations, start_time.elapsed(), &population.objective_vectors());
+        core.record(0, &population.objective_vectors());
 
-        MoelaState {
+        let algo = MoelaAlgo {
             config: cfg,
             problem: self.problem,
-            start_time,
-            evaluations,
-            recorder,
             population,
             train,
             eval_fn: None,
             recent_starts: Vec::new(),
             generation: 0,
             last_generation: 0,
-            finished: evaluator.poisoned(),
-            evaluator,
-            obs: Obs::disabled(),
-            cancel: CancelToken::default(),
-        }
+        };
+        Run::new(core, algo)
     }
 
     /// Rebuilds a mid-run state from a [`MoelaState::snapshot_state`]
@@ -186,40 +171,30 @@ where
             Value::Null => None,
             v => Some(RandomForest::restore(v)?),
         };
-        Ok(MoelaState {
-            evaluator: GuardedEvaluator::from_parts(
-                cfg.threads,
-                cfg.fault,
-                fault_log_from(value, "faults")?,
-            ),
+        let core = RunCore::restore(value, elapsed, cfg.threads, cfg.fault)?;
+        let algo = MoelaAlgo {
             config: cfg,
             problem: self.problem,
-            start_time: Instant::now().checked_sub(elapsed).unwrap_or_else(Instant::now),
-            evaluations: value.field("evaluations")?.as_u64()?,
-            recorder: TraceRecorder::restore(value.field("recorder")?)?,
             population,
             train: Dataset::restore(value.field("train")?)?,
             eval_fn,
             recent_starts: value.field("recent_starts")?.to_usize_vec()?,
             generation: value.field("generation")?.as_usize()?,
             last_generation: value.field("last_generation")?.as_usize()?,
-            finished: value.field("finished")?.as_bool()?,
-            obs: Obs::disabled(),
-            cancel: CancelToken::default(),
-        })
+        };
+        Ok(Run::new(core, algo))
     }
 }
 
 /// A MOELA run in progress: everything `run` kept on the stack, held as a
 /// value so the driver can checkpoint between generations.
+pub type MoelaState<'p, P> = Run<MoelaAlgo<'p, P>>;
+
+/// MOELA's own state inside a [`MoelaState`].
 #[derive(Debug)]
-pub struct MoelaState<'p, P: Problem> {
+pub struct MoelaAlgo<'p, P: Problem> {
     config: MoelaConfig,
     problem: &'p P,
-    evaluator: GuardedEvaluator,
-    start_time: Instant,
-    evaluations: u64,
-    recorder: TraceRecorder,
     population: Population<P::Solution>,
     train: Dataset,
     eval_fn: Option<RandomForest>,
@@ -229,87 +204,38 @@ pub struct MoelaState<'p, P: Problem> {
     /// Next generation index to execute.
     generation: usize,
     last_generation: usize,
-    finished: bool,
-    /// Telemetry handle (never checkpointed; disabled by default).
-    obs: Obs,
-    /// Cooperative cancellation flag (never checkpointed; inert
-    /// unless the driver installs a shared token).
-    cancel: CancelToken,
 }
 
-impl<'p, P> MoelaState<'p, P>
+impl<'p, P> Algorithm for MoelaAlgo<'p, P>
 where
     P: Problem + Sync,
     P::Solution: Sync,
 {
-    /// Objective evaluations paid for so far (faulted and retried
-    /// attempts included).
-    pub fn evaluations(&self) -> u64 {
-        self.evaluations
-    }
+    type Solution = P::Solution;
 
-    /// The fault counters accumulated so far.
-    pub fn fault_log(&self) -> &FaultLog {
-        self.evaluator.log()
-    }
-
-    /// The latched [`FaultPolicy::Fail`](moela_moo::fault::FaultPolicy)
-    /// error, if evaluation faulted under the default policy.
-    pub fn fault_error(&self) -> Option<&EvalFault> {
-        self.evaluator.error()
-    }
-
-    /// Completed generations.
-    pub fn completed(&self) -> u64 {
+    fn completed(&self) -> u64 {
         self.generation as u64
     }
 
-    /// Installs the observability handle phase spans are reported
-    /// through. Telemetry is write-only: it never alters an RNG draw,
-    /// an evaluation, or a trace byte.
-    /// Installs a cooperative cancellation token checked at step
-    /// boundaries (see [`CancelToken`]).
-    pub fn set_cancel(&mut self, token: CancelToken) {
-        self.cancel = token;
+    fn exhausted(&self) -> bool {
+        self.generation >= self.config.generations
     }
 
-    pub fn set_obs(&mut self, obs: Obs) {
-        self.evaluator.set_obs(obs.clone());
-        self.obs = obs;
-    }
-
-    fn budget_left(&self) -> bool {
-        self.config.max_evaluations.is_none_or(|cap| self.evaluations < cap)
-            && self.config.time_budget.is_none_or(|cap| self.start_time.elapsed() < cap)
-    }
-
-    /// Executes one generation. Returns `false` — drawing no RNG values —
-    /// once the run has finished.
-    pub fn step(&mut self, rng: &mut dyn RngCore) -> bool {
-        if self.cancel.is_cancelled() {
-            // Cancelled at a step boundary: draw nothing, mutate
-            // nothing, stay snapshottable and resumable.
-            return false;
-        }
+    /// One generation.
+    fn step_inner(&mut self, core: &mut RunCore, rng: &mut dyn RngCore) -> bool {
         let mut rng = rng;
-        if self.finished || self.generation >= self.config.generations || self.evaluator.poisoned()
-        {
-            self.finished = true;
-            return false;
-        }
         let generation = self.generation;
         self.last_generation = generation + 1;
 
         // --- (Ablation) EA-first ordering ---------------------------
-        if self.config.ea_first && !self.ea_step(rng) {
-            self.finished = true;
+        if self.config.ea_first && !self.ea_step(core, rng) {
             return false;
         }
 
         // --- Local-search phase -------------------------------------
         let starts = match &self.eval_fn {
             Some(model) if generation >= self.config.iter_early => {
-                let _predict = self.obs.span("surrogate_predict");
+                let _predict = core.obs.span("surrogate_predict");
                 ml_guide(self.problem, &self.config, model, &self.population, &self.recent_starts)
             }
             _ => {
@@ -320,10 +246,9 @@ where
             }
         };
         self.recent_starts = starts.clone();
-        let ls_span = self.obs.span("local_search");
+        let ls_span = core.obs.span("local_search");
         for idx in starts {
-            if !self.budget_left() {
-                self.finished = true;
+            if !core.budget_left(self.config.max_evaluations, self.config.time_budget) {
                 return false;
             }
             let individual = self.population.individual(idx).clone();
@@ -347,15 +272,14 @@ where
                     neighbors_per_step: self.config.ls_neighbors_per_step,
                     stall_evaluations: self.config.ls_stall_evaluations,
                 },
-                &mut self.evaluator,
+                &mut core.evaluator,
                 rng,
             );
-            self.evaluations += outcome.evaluations;
-            if self.evaluator.poisoned() {
-                self.finished = true;
+            core.evaluations += outcome.evaluations;
+            if core.evaluator.poisoned() {
                 return false;
             }
-            self.recorder.observe(&outcome.best_objectives);
+            core.recorder.observe(&outcome.best_objectives);
             // The paper's Eval "predict[s] how much a design can
             // improve towards the reference point": the regression
             // target is the (negative) improvement, so Algorithm 2's
@@ -371,7 +295,7 @@ where
             let scope: Vec<usize> = (0..self.population.len()).collect();
             let mut ls_improvements = 0u64;
             for (state, objectives) in &outcome.accepted {
-                self.recorder.observe(objectives);
+                core.recorder.observe(objectives);
                 ls_improvements += self.population.update(
                     Scalarizer::Tchebycheff,
                     state,
@@ -381,70 +305,40 @@ where
                 ) as u64;
             }
             if ls_improvements > 0 {
-                self.obs.counter(moela_obs::names::LS_IMPROVEMENTS, ls_improvements);
+                core.obs.counter(moela_obs::names::LS_IMPROVEMENTS, ls_improvements);
             }
         }
         drop(ls_span);
 
         // --- Train Eval ----------------------------------------------
         if generation + 1 >= self.config.iter_early && self.train.len() >= 8 {
-            let _fit = self.obs.span("surrogate_fit");
+            let _fit = core.obs.span("surrogate_fit");
             self.eval_fn = Some(RandomForest::fit(&self.train, &self.config.forest, &mut rng));
         }
 
         // --- Decomposition EA step -----------------------------------
-        if !self.config.ea_first && !self.ea_step(rng) {
-            self.finished = true;
+        if !self.config.ea_first && !self.ea_step(core, rng) {
             return false;
         }
 
         {
-            let _archive = self.obs.span("archive_update");
-            self.recorder.record(
-                generation + 1,
-                self.evaluations,
-                self.start_time.elapsed(),
-                &self.population.objective_vectors(),
-            );
+            let _archive = core.obs.span("archive_update");
+            core.record(generation + 1, &self.population.objective_vectors());
         }
         self.generation = generation + 1;
-        self.obs.counter("generations", 1);
-        if let Some(point) = self.recorder.points().last() {
-            self.obs.gauge("phv", point.phv);
-        }
+        core.obs.counter("generations", 1);
+        core.gauge_phv();
         true
     }
 
-    /// Consumes the state, producing the final result.
-    pub fn finish(mut self) -> MoelaOutcome<P::Solution> {
-        // A budget exhaustion stops the run *before* the per-generation
-        // record, which would leave the last paid-for evaluations
-        // invisible in the trace. Record a final point whenever the trace
-        // lags the evaluation count.
-        if self.recorder.points().last().is_none_or(|p| p.evaluations != self.evaluations) {
-            self.recorder.record(
-                self.last_generation,
-                self.evaluations,
-                self.start_time.elapsed(),
-                &self.population.objective_vectors(),
-            );
-        }
-        RunResult {
-            population: self
-                .population
-                .individuals()
-                .iter()
-                .map(|i| (i.solution.clone(), i.objectives.clone()))
-                .collect(),
-            trace: self.recorder.into_points(),
-            evaluations: self.evaluations,
-            elapsed: self.start_time.elapsed(),
-        }
+    fn snapshot_counters(&self) -> Fields {
+        vec![
+            ("generation", Value::U64(self.generation as u64)),
+            ("last_generation", Value::U64(self.last_generation as u64)),
+        ]
     }
 
-    /// Captures the complete optimizer state (the RNG is checkpointed by
-    /// the driver alongside).
-    pub fn snapshot_state<C: SolutionCodec<P::Solution>>(&self, codec: &C) -> Value {
+    fn snapshot_inner<C: SolutionCodec<P::Solution>>(&self, codec: &C) -> Fields {
         let individuals = Value::Array(
             self.population
                 .individuals()
@@ -457,45 +351,58 @@ where
                 })
                 .collect(),
         );
-        Value::object(vec![
-            ("generation", Value::U64(self.generation as u64)),
-            ("last_generation", Value::U64(self.last_generation as u64)),
-            ("finished", Value::Bool(self.finished)),
-            ("evaluations", Value::U64(self.evaluations)),
-            ("recorder", self.recorder.snapshot()),
+        vec![
             ("population", individuals),
             ("z", self.population.reference().snapshot()),
             ("normalizer", self.population.normalizer().snapshot()),
             ("train", self.train.snapshot()),
             ("eval_fn", self.eval_fn.as_ref().map_or(Value::Null, Snapshot::snapshot)),
             ("recent_starts", Value::usize_array(&self.recent_starts)),
-            ("faults", self.evaluator.log().snapshot()),
-        ])
+        ]
     }
 
+    /// A budget exhaustion stops the run *before* the per-generation
+    /// record, which would leave the last paid-for evaluations invisible
+    /// in the trace, so a final point is recorded whenever the trace lags
+    /// the evaluation count.
+    fn finish_inner(self, core: &mut RunCore) -> Vec<(P::Solution, Vec<f64>)> {
+        if core.recorder.points().last().is_none_or(|p| p.evaluations != core.evaluations) {
+            core.record(self.last_generation, &self.population.objective_vectors());
+        }
+        self.population
+            .individuals()
+            .iter()
+            .map(|i| (i.solution.clone(), i.objectives.clone()))
+            .collect()
+    }
+}
+
+impl<'p, P> MoelaAlgo<'p, P>
+where
+    P: Problem + Sync,
+    P::Solution: Sync,
+{
     /// One decomposition-EA pass over all sub-problems (Algorithm 1,
     /// line 12). Offspring for every sub-problem are generated first —
     /// parents drawn from the population as it stood at the start of the
     /// pass — then evaluated as one batch, then offered to the population
     /// in sub-problem order. Returns `false` when the budget cut the pass
     /// short.
-    fn ea_step(&mut self, rng: &mut dyn RngCore) -> bool {
+    fn ea_step(&mut self, core: &mut RunCore, rng: &mut dyn RngCore) -> bool {
         let cfg = &self.config;
-        if cfg.time_budget.is_some_and(|cap| self.start_time.elapsed() >= cap) {
+        if core.time_up(cfg.time_budget) {
             return false;
         }
         // Cap the batch to the remaining evaluation budget so hard caps
         // stay as tight as with one-at-a-time evaluation.
-        let remaining =
-            cfg.max_evaluations.map_or(u64::MAX, |cap| cap.saturating_sub(self.evaluations));
-        let batch = (cfg.population as u64).min(remaining) as usize;
+        let batch = (cfg.population as u64).min(core.remaining(cfg.max_evaluations)) as usize;
         if batch == 0 {
             return false;
         }
 
         let mut children: Vec<P::Solution> = Vec::with_capacity(batch);
         let mut scopes: Vec<Vec<usize>> = Vec::with_capacity(batch);
-        let mate_span = self.obs.span("mate");
+        let mate_span = core.obs.span("mate");
         for i in 0..batch {
             let whole: Vec<usize>;
             let pool: &[usize] = if rng.gen_bool(cfg.delta) {
@@ -526,12 +433,11 @@ where
         }
         drop(mate_span);
 
-        let guarded = self.evaluator.evaluate(self.problem, &children);
-        self.evaluations += guarded.attempts;
-        if self.evaluator.poisoned() {
+        let guarded = core.evaluate(self.problem, &children);
+        if core.evaluator.poisoned() {
             return false;
         }
-        let _select = self.obs.span("select");
+        let _select = core.obs.span("select");
         let mut ea_improvements = 0u64;
         for ((child, objectives), scope) in children.iter().zip(&guarded.objectives).zip(&scopes) {
             // Dropped (Skip) children vanish; quarantined penalties could
@@ -540,7 +446,7 @@ where
             if is_quarantined(objectives) {
                 continue;
             }
-            self.recorder.observe(objectives);
+            core.recorder.observe(objectives);
             ea_improvements += self.population.update(
                 Scalarizer::Tchebycheff,
                 child,
@@ -550,58 +456,9 @@ where
             ) as u64;
         }
         if ea_improvements > 0 {
-            self.obs.counter(moela_obs::names::EA_IMPROVEMENTS, ea_improvements);
+            core.obs.counter(moela_obs::names::EA_IMPROVEMENTS, ea_improvements);
         }
         batch == cfg.population
-    }
-}
-
-impl<'p, P, C> Resumable<C> for MoelaState<'p, P>
-where
-    P: Problem + Sync,
-    P::Solution: Sync,
-    C: SolutionCodec<P::Solution>,
-{
-    type Solution = P::Solution;
-
-    fn completed(&self) -> u64 {
-        MoelaState::completed(self)
-    }
-
-    fn step(&mut self, rng: &mut dyn RngCore) -> bool {
-        MoelaState::step(self, rng)
-    }
-
-    fn snapshot_state(&self, codec: &C) -> Value {
-        MoelaState::snapshot_state(self, codec)
-    }
-
-    fn finish(self) -> RunResult<P::Solution> {
-        MoelaState::finish(self)
-    }
-
-    fn fault_log(&self) -> Option<&FaultLog> {
-        Some(MoelaState::fault_log(self))
-    }
-
-    fn fault_error(&self) -> Option<&EvalFault> {
-        MoelaState::fault_error(self)
-    }
-
-    fn set_cancel(&mut self, token: CancelToken) {
-        MoelaState::set_cancel(self, token);
-    }
-
-    fn set_obs(&mut self, obs: Obs) {
-        MoelaState::set_obs(self, obs);
-    }
-
-    fn evaluations(&self) -> u64 {
-        MoelaState::evaluations(self)
-    }
-
-    fn latest_phv(&self) -> Option<f64> {
-        self.recorder.points().last().map(|p| p.phv)
     }
 }
 
@@ -632,6 +489,7 @@ fn ml_guide<P: Problem>(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use moela_moo::checkpoint::Resumable;
     use moela_moo::metrics::igd;
     use moela_moo::problems::{Dtlz, Zdt};
     use moela_moo::{Counted, EvalCounter};

@@ -29,8 +29,10 @@
 //!   (ZDT, DTLZ, and a combinatorial multi-objective knapsack), used to
 //!   validate every optimizer in the workspace;
 //! * checkpoint/resume support: the [`checkpoint::Resumable`]
-//!   state-machine contract every optimizer implements, and [`snapshot`]
-//!   conversions of toolkit components to `moela-persist` JSON values.
+//!   state-machine contract, the shared [`checkpoint::RunCore`] run shell
+//!   every optimizer's [`checkpoint::Algorithm`] plugs into, and
+//!   [`snapshot`] conversions of toolkit components to `moela-persist`
+//!   JSON values.
 //!
 //! # Example
 //!
