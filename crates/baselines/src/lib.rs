@@ -13,7 +13,8 @@
 //! * [`Nsga2`] — NSGA-II (Deb et al. 2002);
 //! * [`random_search`] and [`multi_start_local_search`] — naive brackets.
 
-pub mod common;
+use moela_moo::local_search::LocalSearchBudget;
+
 pub mod moead;
 pub mod moo_stage;
 pub mod moos;
@@ -28,3 +29,10 @@ pub use simple::{
     multi_start_local_search, random_search, random_search_restore, random_search_start,
     MultiStartConfig, RandomSearchConfig, RandomSearchState,
 };
+
+/// The descent budget of the learning-free baselines (MOOS, multi-start):
+/// the descent ends after three non-improving neighbor batches in a row,
+/// so one unlucky sample does not end it.
+pub(crate) fn descent_budget(max_steps: usize, neighbors_per_step: usize) -> LocalSearchBudget {
+    LocalSearchBudget { max_steps, neighbors_per_step, stall_evaluations: 3 * neighbors_per_step }
+}

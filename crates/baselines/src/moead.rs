@@ -5,9 +5,11 @@
 //! defined by uniformly spread weight vectors, Tchebycheff scalarization
 //! against a running reference point, mating restricted to weight-space
 //! neighborhoods with probability `δ`, and bounded replacement (`n_r`).
-//! MOELA's EA step is intentionally the same machinery — the paper's
-//! contribution is what it *adds* (the ML-guided local search), so sharing
-//! the update semantics makes the comparison fair.
+//! The generation is [`Population::evolve`], the same decomposition-EA
+//! pass MOELA's EA step runs — the paper's contribution is what MOELA
+//! *adds* (the ML-guided local search), so sharing one implementation
+//! makes the comparison fair. MOEA/D visits the sub-problems in a fresh
+//! random order each generation.
 //!
 //! Like every optimizer in the workspace, the run loop is exposed as a
 //! checkpointable state machine ([`MoeadState`], one step per generation).
@@ -15,17 +17,14 @@
 use std::time::Duration;
 
 use rand::seq::SliceRandom;
-use rand::{Rng, RngCore};
+use rand::RngCore;
 
 use moela_moo::checkpoint::{Algorithm, Fields, Run, RunCore};
-use moela_moo::fault::{is_quarantined, FaultConfig};
-use moela_moo::normalize::Normalizer;
+use moela_moo::fault::FaultConfig;
+use moela_moo::population::Population;
 use moela_moo::run::RunResult;
-use moela_moo::scalarize::{ReferencePoint, Scalarizer};
-use moela_moo::snapshot::{entries_from_value, entries_to_value};
-use moela_moo::weights::{neighborhoods, uniform_weights};
 use moela_moo::Problem;
-use moela_persist::{PersistError, Restore, Snapshot, SolutionCodec, Value};
+use moela_persist::{PersistError, SolutionCodec, Value};
 
 /// MOEA/D parameters.
 #[derive(Clone, Debug, PartialEq)]
@@ -115,14 +114,9 @@ where
     P: Problem + Sync,
     P::Solution: Sync,
 {
-    /// Runs MOEA/D and returns the final population with its trace.
-    ///
-    /// Each generation's offspring are generated sequentially from `rng`
-    /// (parents drawn from the population as it stood at the start of the
-    /// generation), evaluated as one batch through a
-    /// [`GuardedEvaluator`](moela_moo::GuardedEvaluator) sized by
-    /// [`MoeadConfig::threads`], then applied in sub-problem order — so
-    /// results are bit-identical for every thread count.
+    /// Runs MOEA/D and returns the final population with its trace. Each
+    /// generation is one [`Population::evolve`] pass, so results are
+    /// bit-identical for every [`MoeadConfig::threads`].
     pub fn run(&self, rng: &mut impl RngCore) -> RunResult<P::Solution> {
         let rng: &mut dyn RngCore = rng;
         let mut state = self.start(rng);
@@ -136,39 +130,10 @@ where
         let cfg = self.config.clone();
         let m = self.problem.objective_count();
         let mut core = RunCore::new(m, cfg.trace_normalizer.as_ref(), cfg.threads, cfg.fault);
-
-        let weights = uniform_weights(cfg.population, m);
-        let nbhd = neighborhoods(&weights, cfg.neighborhood);
-        let mut z = ReferencePoint::new(m);
-        let mut normalizer = Normalizer::new(m);
-        let solutions: Vec<P::Solution> =
-            (0..cfg.population).map(|_| self.problem.random_solution(rng)).collect();
-        let batch = core.evaluate(self.problem, &solutions);
-        // Dropped initial slots are materialized as penalty vectors — every
-        // sub-problem keeps a member, but the quarantined ones never feed
-        // the reference point, normalizer, or trace.
-        let objectives = batch.materialized(m);
-        for o in &objectives {
-            if is_quarantined(o) {
-                continue;
-            }
-            z.update(o);
-            normalizer.observe(o);
-            core.recorder.observe(o);
-        }
-        core.record(0, &objectives);
-
-        let algo = MoeadAlgo {
-            config: cfg,
-            problem: self.problem,
-            weights,
-            nbhd,
-            z,
-            normalizer,
-            solutions,
-            objectives,
-            generation: 0,
-        };
+        let population =
+            Population::initialize(self.problem, &mut core, cfg.population, cfg.neighborhood, rng);
+        core.record(0, &population.objective_vectors());
+        let algo = MoeadAlgo { config: cfg, problem: self.problem, population, generation: 0 };
         Run::new(core, algo)
     }
 
@@ -182,33 +147,13 @@ where
     ) -> Result<MoeadState<'p, P>, PersistError> {
         let cfg = self.config.clone();
         let m = self.problem.objective_count();
-        let entries = entries_from_value(value.field("population")?, codec)?;
-        if entries.len() != cfg.population {
-            return Err(PersistError::schema("checkpointed population size mismatch"));
-        }
-        if entries.iter().any(|(_, o)| o.len() != m) {
-            return Err(PersistError::schema("checkpointed objective dimensionality mismatch"));
-        }
-        let (solutions, objectives): (Vec<_>, Vec<_>) = entries.into_iter().unzip();
-        let z = ReferencePoint::restore(value.field("z")?)?;
-        let normalizer = Normalizer::restore(value.field("normalizer")?)?;
-        if z.len() != m || normalizer.len() != m {
-            return Err(PersistError::schema(
-                "checkpointed reference/normalizer dimension mismatch",
-            ));
-        }
-        let weights = uniform_weights(cfg.population, m);
-        let nbhd = neighborhoods(&weights, cfg.neighborhood);
+        let population =
+            Population::restore_fields(value, codec, cfg.population, m, cfg.neighborhood)?;
         let core = RunCore::restore(value, elapsed, cfg.threads, cfg.fault)?;
         let algo = MoeadAlgo {
             config: cfg,
             problem: self.problem,
-            weights,
-            nbhd,
-            z,
-            normalizer,
-            solutions,
-            objectives,
+            population,
             generation: value.field("generation")?.as_usize()?,
         };
         Ok(Run::new(core, algo))
@@ -223,12 +168,7 @@ pub type MoeadState<'p, P> = Run<MoeadAlgo<'p, P>>;
 pub struct MoeadAlgo<'p, P: Problem> {
     config: MoeadConfig,
     problem: &'p P,
-    weights: Vec<Vec<f64>>,
-    nbhd: Vec<Vec<usize>>,
-    z: ReferencePoint,
-    normalizer: Normalizer,
-    solutions: Vec<P::Solution>,
-    objectives: Vec<Vec<f64>>,
+    population: Population<P::Solution>,
     generation: usize,
 }
 
@@ -265,78 +205,13 @@ where
         order.shuffle(rng);
         order.truncate(remaining.min(cfg.population as u64) as usize);
         let partial = order.len() < cfg.population;
-
-        let mut children: Vec<P::Solution> = Vec::with_capacity(order.len());
-        let mut pools: Vec<Vec<usize>> = Vec::with_capacity(order.len());
-        let mate_span = core.obs.span("mate");
-        for &i in &order {
-            let whole: Vec<usize>;
-            let pool: &[usize] = if rng.gen_bool(cfg.delta) {
-                &self.nbhd[i]
-            } else {
-                whole = (0..cfg.population).collect();
-                &whole
-            };
-            let pa = pool[rng.gen_range(0..pool.len())];
-            let child = if pool.len() < 2 {
-                // A one-element pool cannot supply a distinct second
-                // parent; mutate instead of self-mating.
-                self.problem.neighbor(&self.solutions[pa], rng)
-            } else {
-                let mut pb = pool[rng.gen_range(0..pool.len())];
-                if pb == pa {
-                    pb = pool[(pool.iter().position(|&x| x == pa).expect("pa in pool") + 1)
-                        % pool.len()];
-                }
-                self.problem.crossover(&self.solutions[pa], &self.solutions[pb], rng)
-            };
-            children.push(child);
-            pools.push(pool.to_vec());
-        }
-        drop(mate_span);
-
-        let batch = core.evaluate(self.problem, &children);
-        if core.evaluator.poisoned() {
+        if !self.population.evolve(self.problem, core, order, cfg.delta, cfg.max_replacements, rng)
+        {
             return false;
         }
-        let select_span = core.obs.span("select");
-        let mut ea_improvements = 0u64;
-        for ((child, child_objs), pool) in children.iter().zip(&batch.objectives).zip(&pools) {
-            let Some(child_objs) = child_objs else { continue };
-            if is_quarantined(child_objs) {
-                continue;
-            }
-            self.z.update(child_objs);
-            self.normalizer.observe(child_objs);
-            core.recorder.observe(child_objs);
-
-            let g = |objs: &[f64], w: &[f64]| {
-                Scalarizer::Tchebycheff.value(
-                    &self.normalizer.normalize(objs),
-                    w,
-                    &self.normalizer.normalize(self.z.values()),
-                )
-            };
-            let mut replaced = 0;
-            for &j in pool {
-                if replaced >= cfg.max_replacements {
-                    break;
-                }
-                if g(child_objs, &self.weights[j]) < g(&self.objectives[j], &self.weights[j]) {
-                    self.solutions[j] = child.clone();
-                    self.objectives[j] = child_objs.clone();
-                    replaced += 1;
-                }
-            }
-            ea_improvements += replaced as u64;
-        }
-        if ea_improvements > 0 {
-            core.obs.counter(moela_obs::names::EA_IMPROVEMENTS, ea_improvements);
-        }
-        drop(select_span);
         {
             let _archive = core.obs.span("archive_update");
-            core.record(generation + 1, &self.objectives);
+            core.record(generation + 1, &self.population.objective_vectors());
         }
         self.generation = generation + 1;
         core.obs.counter("generations", 1);
@@ -349,17 +224,11 @@ where
     }
 
     fn snapshot_inner<C: SolutionCodec<P::Solution>>(&self, codec: &C) -> Fields {
-        let entries: Vec<(P::Solution, Vec<f64>)> =
-            self.solutions.iter().cloned().zip(self.objectives.iter().cloned()).collect();
-        vec![
-            ("population", entries_to_value(&entries, codec)),
-            ("z", self.z.snapshot()),
-            ("normalizer", self.normalizer.snapshot()),
-        ]
+        self.population.snapshot_fields(codec)
     }
 
     fn finish_inner(self, _core: &mut RunCore) -> Vec<(P::Solution, Vec<f64>)> {
-        self.solutions.into_iter().zip(self.objectives).collect()
+        self.population.into_entries()
     }
 }
 

@@ -27,12 +27,10 @@ use moela_moo::archive::ParetoArchive;
 use moela_moo::checkpoint::{Algorithm, Fields, Run, RunCore};
 use moela_moo::fault::{is_quarantined, FaultConfig};
 use moela_moo::normalize::Normalizer;
-use moela_moo::run::RunResult;
+use moela_moo::run::{normalized_phv, RunResult};
 use moela_moo::snapshot::{archive_from_value, archive_to_value};
 use moela_moo::Problem;
 use moela_persist::{PersistError, Restore, Snapshot, SolutionCodec, Value};
-
-use crate::common::normalized_phv;
 
 /// MOO-STAGE parameters.
 #[derive(Clone, Debug, PartialEq)]

@@ -28,15 +28,16 @@ use moela_ml::{Dataset, ForestConfig, RandomForest};
 use moela_moo::archive::ParetoArchive;
 use moela_moo::checkpoint::{Algorithm, Fields, Run, RunCore};
 use moela_moo::fault::{is_quarantined, penalty_objectives, FaultConfig};
+use moela_moo::local_search::greedy_descent;
 use moela_moo::normalize::Normalizer;
-use moela_moo::run::RunResult;
+use moela_moo::run::{normalized_phv, RunResult};
 use moela_moo::scalarize::ReferencePoint;
 use moela_moo::snapshot::{archive_from_value, archive_to_value};
 use moela_moo::weights::uniform_weights;
 use moela_moo::Problem;
 use moela_persist::{PersistError, Restore, Snapshot, SolutionCodec, Value};
 
-use crate::common::{normalized_phv, weighted_descent};
+use crate::descent_budget;
 
 /// MOOS parameters.
 #[derive(Clone, Debug, PartialEq)]
@@ -340,27 +341,26 @@ where
         // --- Episode: descend and archive ---------------------------
         let phv_before = normalized_phv(&self.archive.objectives(), &self.normalizer);
         let ls_span = core.obs.span("local_search");
-        let (accepted, spent) = weighted_descent(
+        let outcome = greedy_descent(
             self.problem,
             &start,
             &start_objs,
             &weight,
             self.z.values(),
             &self.normalizer,
-            cfg.ls_max_steps,
-            cfg.ls_neighbors_per_step,
+            descent_budget(cfg.ls_max_steps, cfg.ls_neighbors_per_step),
             &mut core.evaluator,
             rng,
         );
         drop(ls_span);
-        core.evaluations += spent;
+        core.evaluations += outcome.evaluations;
         if core.evaluator.poisoned() {
             return false;
         }
         {
             let _archive = core.obs.span("archive_update");
             let mut ls_improvements = 0u64;
-            for (s, o) in accepted {
+            for (s, o) in outcome.accepted {
                 self.z.update(&o);
                 self.normalizer.observe(&o);
                 core.recorder.observe(&o);

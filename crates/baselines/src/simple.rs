@@ -9,6 +9,7 @@ use rand::{Rng, RngCore};
 use moela_moo::archive::ParetoArchive;
 use moela_moo::checkpoint::{Algorithm, Fields, Run, RunCore};
 use moela_moo::fault::{is_quarantined, FaultConfig};
+use moela_moo::local_search::greedy_descent;
 use moela_moo::normalize::Normalizer;
 use moela_moo::run::RunResult;
 use moela_moo::scalarize::ReferencePoint;
@@ -17,7 +18,7 @@ use moela_moo::weights::uniform_weights;
 use moela_moo::Problem;
 use moela_persist::{PersistError, SolutionCodec, Value};
 
-use crate::common::weighted_descent;
+use crate::descent_budget;
 
 /// Uniform random search: draw designs, keep the Pareto archive.
 #[derive(Clone, Debug, PartialEq)]
@@ -307,24 +308,23 @@ where
             archive.insert(start.clone(), start_objs.clone());
 
             let weight = &directions[restart % directions.len()];
-            let (accepted, spent) = weighted_descent(
+            let outcome = greedy_descent(
                 problem,
                 &start,
                 &start_objs,
                 weight,
                 z.values(),
                 &normalizer,
-                config.ls_max_steps,
-                config.ls_neighbors_per_step,
+                descent_budget(config.ls_max_steps, config.ls_neighbors_per_step),
                 &mut core.evaluator,
                 rng,
             );
-            core.evaluations += spent;
+            core.evaluations += outcome.evaluations;
             if core.evaluator.poisoned() {
                 core.record(restart + 1, &archive.objectives());
                 break;
             }
-            for (s, o) in accepted {
+            for (s, o) in outcome.accepted {
                 z.update(&o);
                 normalizer.observe(&o);
                 core.recorder.observe(&o);
@@ -552,6 +552,71 @@ mod tests {
         let out = multi_start_local_search(&cfg, &problem, &mut rng(4));
         assert_eq!(out.evaluations, 1);
         assert!(out.population.is_empty());
+    }
+
+    /// Pins multi-start's exact output on ZDT1, plain and with faulted
+    /// neighbors dropped, so a change to the shared descent it calls
+    /// cannot silently move its evaluations, trace or front.
+    #[test]
+    fn multi_start_output_is_pinned() {
+        use moela_moo::fault::{FaultConfig, FaultPolicy};
+        use moela_moo::{ChaosProblem, ChaosSpec};
+        type Pin = (u64, Vec<(usize, u64, u64)>, Vec<[u64; 2]>);
+        let cfg = MultiStartConfig {
+            restarts: 5,
+            ls_max_steps: 12,
+            archive_cap: 6,
+            fault: FaultConfig { policy: FaultPolicy::Skip, retries: 0 },
+            ..Default::default()
+        };
+        let pin = |out: RunResult<Vec<f64>>| -> Pin {
+            let trace =
+                out.trace.iter().map(|p| (p.generation, p.evaluations, p.phv.to_bits())).collect();
+            let front =
+                out.population.iter().map(|(_, o)| [o[0].to_bits(), o[1].to_bits()]).collect();
+            (out.evaluations, trace, front)
+        };
+        let plain = pin(multi_start_local_search(&cfg, &Zdt::zdt1(6), &mut rng(19)));
+        assert_eq!(
+            plain,
+            (
+                177,
+                vec![
+                    (1, 13, 4607644037761822884),
+                    (2, 30, 4597956511369204134),
+                    (3, 79, 4599917044345225025),
+                    (4, 128, 4600721163584904526),
+                    (5, 177, 4606036034720238136),
+                ],
+                vec![
+                    [0x3fd2edbf0e2265b2, 0x400c170d2b1a2418],
+                    [0x3fef6b06cd48e970, 0x3ffde377046a2fce],
+                    [0x3fdb6628abedb7b9, 0x3fffe5deaa6b077a],
+                ],
+            )
+        );
+        let chaotic =
+            ChaosProblem::new(Zdt::zdt1(6), ChaosSpec::parse("panic=0.1,nan=0.1").unwrap(), 23);
+        let faulted = pin(multi_start_local_search(&cfg, &chaotic, &mut rng(19)));
+        assert_eq!(
+            faulted,
+            (
+                121,
+                vec![
+                    (1, 13, 4607644037761822884),
+                    (2, 30, 4597956511369204134),
+                    (3, 67, 4598536464467889212),
+                    (4, 104, 4598905741116304926),
+                    (5, 121, 4603289068249097943),
+                ],
+                vec![
+                    [0x3fe8d072eedf42f3, 0x4009f8e54224cd1b],
+                    [0x3fd2edbf0e2265b2, 0x400c170d2b1a2418],
+                    [0x3fea9d92b4e318eb, 0x3ffd66c30e41025c],
+                    [0x3fba91bb3e05b698, 0x401478f1a285b9d6],
+                ],
+            )
+        );
     }
 
     #[test]

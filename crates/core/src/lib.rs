@@ -11,14 +11,17 @@
 //!
 //! * [`MoelaConfig`] — Algorithm 1's inputs (`N`, `gen`, `iter_early`,
 //!   `n_local`, `δ`, `|S_train|` cap) plus practical budgets;
-//! * [`population::Population`] — the decomposition population with
-//!   Das–Dennis weights, Tchebycheff neighborhoods, and the eq. (10)
-//!   update;
-//! * [`local_search::greedy_descent`] — the eq. (8) weighted-sum descent
-//!   whose trajectories feed the learned evaluation function;
 //! * [`Moela`] — the full loop: ML-guided start selection (Algorithm 2,
 //!   via a [`moela_ml::RandomForest`]), local search, `Eval` retraining,
 //!   and the decomposition EA step.
+//!
+//! The decomposition population (Das–Dennis weights, Tchebycheff
+//! neighborhoods, the eq. (10) update and the EA pass) and the eq. (8)
+//! weighted-sum descent live in `moela-moo` as
+//! [`moela_moo::population::Population`] and
+//! [`moela_moo::local_search::greedy_descent`], shared with the MOEA/D,
+//! MOOS and multi-start baselines; this crate adds the learned guidance
+//! on top of them.
 //!
 //! # Example
 //!
@@ -41,9 +44,7 @@
 //! ```
 
 pub mod config;
-pub mod local_search;
 pub mod moela;
-pub mod population;
 
 pub use config::{BuildConfigError, MoelaConfig, MoelaConfigBuilder};
 pub use moela::{Moela, MoelaOutcome};

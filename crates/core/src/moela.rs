@@ -10,8 +10,9 @@
 //! 2. **`Eval` training** (line 11): fit a random forest mapping
 //!    `(design features, weight)` to the scalarized value the search
 //!    reached;
-//! 3. **decomposition EA** (line 12): MOEA/D-style mating within
-//!    Tchebycheff neighborhoods with probability `δ`.
+//! 3. **decomposition EA** (line 12): MOEA/D's mating within
+//!    Tchebycheff neighborhoods with probability `δ` — the very
+//!    [`Population::evolve`] pass the MOEA/D baseline runs.
 //!
 //! The run loop is exposed as a checkpointable state machine
 //! ([`MoelaState`], one [`Run::step`] per generation) so a run can
@@ -20,21 +21,17 @@
 use std::time::Duration;
 
 use rand::seq::SliceRandom;
-use rand::{Rng, RngCore};
+use rand::RngCore;
 
 use moela_ml::{Dataset, RandomForest};
 use moela_moo::checkpoint::{Algorithm, Fields, Run, RunCore};
-use moela_moo::fault::is_quarantined;
-use moela_moo::normalize::Normalizer;
+use moela_moo::local_search::{greedy_descent, LocalSearchBudget};
+use moela_moo::population::Population;
 use moela_moo::run::RunResult;
-use moela_moo::scalarize::{ReferencePoint, Scalarizer};
-use moela_moo::snapshot::entries_from_value;
 use moela_moo::Problem;
 use moela_persist::{PersistError, Restore, Snapshot, SolutionCodec, Value};
 
 use crate::config::MoelaConfig;
-use crate::local_search::{greedy_descent, LocalSearchBudget};
-use crate::population::{Individual, Population};
 
 /// The outcome of a MOELA run: the final population, the anytime-PHV
 /// trace, and budget accounting. See [`RunResult`].
@@ -86,7 +83,8 @@ where
     /// population with its trace.
     ///
     /// Candidate designs are always *generated* sequentially from `rng`
-    /// and *evaluated* in batches through a [`ParallelEvaluator`] sized by
+    /// and *evaluated* in batches through a
+    /// [`ParallelEvaluator`](moela_moo::ParallelEvaluator) sized by
     /// [`MoelaConfig::threads`], so the outcome is bit-identical for every
     /// thread count.
     pub fn run(&self, rng: &mut impl RngCore) -> MoelaOutcome<P::Solution> {
@@ -102,24 +100,8 @@ where
         let cfg = self.config.clone();
         let m = self.problem.objective_count();
         let mut core = RunCore::new(m, cfg.trace_normalizer.as_ref(), cfg.threads, cfg.fault);
-
-        // Initialization: N random designs, one per weight vector, drawn
-        // sequentially and evaluated as one batch. The population
-        // structurally needs one objective vector per weight slot, so
-        // dropped candidates are materialized as penalty vectors (they are
-        // retired by selection pressure and never reach front or scale).
-        let candidates: Vec<P::Solution> =
-            (0..cfg.population).map(|_| self.problem.random_solution(rng)).collect();
-        let objective_batch = core.evaluate(self.problem, &candidates).materialized(m);
-        let individuals: Vec<Individual<P::Solution>> = candidates
-            .into_iter()
-            .zip(objective_batch)
-            .map(|(solution, objectives)| {
-                core.recorder.observe(&objectives);
-                Individual { solution, objectives }
-            })
-            .collect();
-        let population = Population::new(individuals, m, cfg.neighborhood);
+        let population =
+            Population::initialize(self.problem, &mut core, cfg.population, cfg.neighborhood, rng);
         let train = Dataset::with_capacity(cfg.train_cap);
         core.record(0, &population.objective_vectors());
 
@@ -148,25 +130,8 @@ where
     ) -> Result<MoelaState<'p, P>, PersistError> {
         let cfg = self.config.clone();
         let m = self.problem.objective_count();
-        let individuals: Vec<Individual<P::Solution>> =
-            entries_from_value(value.field("population")?, codec)?
-                .into_iter()
-                .map(|(solution, objectives)| Individual { solution, objectives })
-                .collect();
-        if individuals.is_empty() {
-            return Err(PersistError::schema("checkpointed population is empty"));
-        }
-        if individuals.iter().any(|i| i.objectives.len() != m) {
-            return Err(PersistError::schema("checkpointed objective dimensionality mismatch"));
-        }
-        let z = ReferencePoint::restore(value.field("z")?)?;
-        let normalizer = Normalizer::restore(value.field("normalizer")?)?;
-        if z.len() != m || normalizer.len() != m {
-            return Err(PersistError::schema(
-                "checkpointed reference/normalizer dimension mismatch",
-            ));
-        }
-        let population = Population::from_parts(individuals, m, cfg.neighborhood, z, normalizer);
+        let population =
+            Population::restore_fields(value, codec, cfg.population, m, cfg.neighborhood)?;
         let eval_fn = match value.field("eval_fn")? {
             Value::Null => None,
             v => Some(RandomForest::restore(v)?),
@@ -251,22 +216,15 @@ where
             if !core.budget_left(self.config.max_evaluations, self.config.time_budget) {
                 return false;
             }
-            let individual = self.population.individual(idx).clone();
-            let weight = self.population.weight(idx).to_vec();
-            let z_raw = self.population.reference().values().to_vec();
-            let normalizer = self.population.normalizer().clone();
-            let start_g = Scalarizer::WeightedSum.value(
-                &normalizer.normalize(&individual.objectives),
-                &weight,
-                &normalizer.normalize(&z_raw),
-            );
+            let start = self.population.individual(idx);
+            let weight = self.population.weight(idx);
             let outcome = greedy_descent(
                 self.problem,
-                &individual.solution,
-                &individual.objectives,
-                &weight,
-                &z_raw,
-                &normalizer,
+                &start.solution,
+                &start.objectives,
+                weight,
+                self.population.reference().values(),
+                self.population.normalizer(),
                 LocalSearchBudget {
                     max_steps: self.config.ls_max_steps,
                     neighbors_per_step: self.config.ls_neighbors_per_step,
@@ -279,31 +237,27 @@ where
             if core.evaluator.poisoned() {
                 return false;
             }
-            core.recorder.observe(&outcome.best_objectives);
             // The paper's Eval "predict[s] how much a design can
             // improve towards the reference point": the regression
             // target is the (negative) improvement, so Algorithm 2's
             // lowest-e_i selection picks the starts with the largest
-            // predicted improvement.
-            let improvement_target = outcome.final_value - start_g;
-            for features in outcome.trajectory_features {
-                self.train.push_finite(features, improvement_target);
+            // predicted improvement. Every state on the trajectory
+            // (`S_traj`: the start, then each accepted move) is labeled
+            // with it.
+            let improvement_target = outcome.final_value - outcome.start_value;
+            let trajectory =
+                std::iter::once(&start.solution).chain(outcome.accepted.iter().map(|(s, _)| s));
+            for state in trajectory {
+                self.train
+                    .push_finite(eval_features(self.problem, state, weight), improvement_target);
             }
             // Offer every accepted state to every sub-problem — these
             // evaluations are already paid for, and the search may
             // have drifted through several weights' regions.
             let scope: Vec<usize> = (0..self.population.len()).collect();
-            let mut ls_improvements = 0u64;
-            for (state, objectives) in &outcome.accepted {
-                core.recorder.observe(objectives);
-                ls_improvements += self.population.update(
-                    Scalarizer::Tchebycheff,
-                    state,
-                    objectives,
-                    &scope,
-                    self.config.max_replacements,
-                ) as u64;
-            }
+            let offers = outcome.accepted.iter().map(|(s, o)| (s, Some(o.as_slice()), &scope[..]));
+            let ls_improvements =
+                self.population.offer(offers, &mut core.recorder, self.config.max_replacements);
             if ls_improvements > 0 {
                 core.obs.counter(moela_obs::names::LS_IMPROVEMENTS, ls_improvements);
             }
@@ -339,26 +293,13 @@ where
     }
 
     fn snapshot_inner<C: SolutionCodec<P::Solution>>(&self, codec: &C) -> Fields {
-        let individuals = Value::Array(
-            self.population
-                .individuals()
-                .iter()
-                .map(|ind| {
-                    Value::object(vec![
-                        ("solution", codec.encode_solution(&ind.solution)),
-                        ("objectives", Value::f64_array(&ind.objectives)),
-                    ])
-                })
-                .collect(),
-        );
-        vec![
-            ("population", individuals),
-            ("z", self.population.reference().snapshot()),
-            ("normalizer", self.population.normalizer().snapshot()),
+        let mut fields = self.population.snapshot_fields(codec);
+        fields.extend([
             ("train", self.train.snapshot()),
             ("eval_fn", self.eval_fn.as_ref().map_or(Value::Null, Snapshot::snapshot)),
             ("recent_starts", Value::usize_array(&self.recent_starts)),
-        ]
+        ]);
+        fields
     }
 
     /// A budget exhaustion stops the run *before* the per-generation
@@ -369,11 +310,7 @@ where
         if core.recorder.points().last().is_none_or(|p| p.evaluations != core.evaluations) {
             core.record(self.last_generation, &self.population.objective_vectors());
         }
-        self.population
-            .individuals()
-            .iter()
-            .map(|i| (i.solution.clone(), i.objectives.clone()))
-            .collect()
+        self.population.into_entries()
     }
 }
 
@@ -382,12 +319,9 @@ where
     P: Problem + Sync,
     P::Solution: Sync,
 {
-    /// One decomposition-EA pass over all sub-problems (Algorithm 1,
-    /// line 12). Offspring for every sub-problem are generated first —
-    /// parents drawn from the population as it stood at the start of the
-    /// pass — then evaluated as one batch, then offered to the population
-    /// in sub-problem order. Returns `false` when the budget cut the pass
-    /// short.
+    /// One decomposition-EA pass over all sub-problems in slot order
+    /// (Algorithm 1, line 12; see [`Population::evolve`]). Returns
+    /// `false` when the budget cut the pass short.
     fn ea_step(&mut self, core: &mut RunCore, rng: &mut dyn RngCore) -> bool {
         let cfg = &self.config;
         if core.time_up(cfg.time_budget) {
@@ -396,70 +330,29 @@ where
         // Cap the batch to the remaining evaluation budget so hard caps
         // stay as tight as with one-at-a-time evaluation.
         let batch = (cfg.population as u64).min(core.remaining(cfg.max_evaluations)) as usize;
-        if batch == 0 {
-            return false;
-        }
-
-        let mut children: Vec<P::Solution> = Vec::with_capacity(batch);
-        let mut scopes: Vec<Vec<usize>> = Vec::with_capacity(batch);
-        let mate_span = core.obs.span("mate");
-        for i in 0..batch {
-            let whole: Vec<usize>;
-            let pool: &[usize] = if rng.gen_bool(cfg.delta) {
-                self.population.neighborhood(i)
-            } else {
-                whole = (0..cfg.population).collect();
-                &whole
-            };
-            let pa = pool[rng.gen_range(0..pool.len())];
-            let child = if pool.len() < 2 {
-                // A one-element pool cannot supply a distinct second
-                // parent; mutate instead of crossing a design with itself.
-                self.problem.neighbor(&self.population.individual(pa).solution, rng)
-            } else {
-                let mut pb = pool[rng.gen_range(0..pool.len())];
-                if pb == pa {
-                    pb = pool[(pool.iter().position(|&x| x == pa).expect("pa in pool") + 1)
-                        % pool.len()];
-                }
-                self.problem.crossover(
-                    &self.population.individual(pa).solution,
-                    &self.population.individual(pb).solution,
-                    rng,
-                )
-            };
-            children.push(child);
-            scopes.push(pool.to_vec());
-        }
-        drop(mate_span);
-
-        let guarded = core.evaluate(self.problem, &children);
-        if core.evaluator.poisoned() {
-            return false;
-        }
-        let _select = core.obs.span("select");
-        let mut ea_improvements = 0u64;
-        for ((child, objectives), scope) in children.iter().zip(&guarded.objectives).zip(&scopes) {
-            // Dropped (Skip) children vanish; quarantined penalties could
-            // never replace a real member, so both are passed over.
-            let Some(objectives) = objectives else { continue };
-            if is_quarantined(objectives) {
-                continue;
-            }
-            core.recorder.observe(objectives);
-            ea_improvements += self.population.update(
-                Scalarizer::Tchebycheff,
-                child,
-                objectives,
-                scope,
+        if batch == 0
+            || !self.population.evolve(
+                self.problem,
+                core,
+                0..batch,
+                cfg.delta,
                 cfg.max_replacements,
-            ) as u64;
-        }
-        if ea_improvements > 0 {
-            core.obs.counter(moela_obs::names::EA_IMPROVEMENTS, ea_improvements);
+                rng,
+            )
+        {
+            return false;
         }
         batch == cfg.population
     }
+}
+
+/// `Eval`'s input for a design searched along `weight`: the problem's
+/// design descriptor with the weight vector appended, so the forest can
+/// condition on the search direction.
+fn eval_features<P: Problem>(problem: &P, solution: &P::Solution, weight: &[f64]) -> Vec<f64> {
+    let mut features = problem.features(solution);
+    features.extend_from_slice(weight);
+    features
 }
 
 /// Algorithm 2: score every design with the learned `Eval` and return
@@ -476,8 +369,8 @@ fn ml_guide<P: Problem>(
     let mut scored: Vec<(usize, f64)> = (0..population.len())
         .filter(|i| !recent_starts.contains(i))
         .map(|i| {
-            let mut features = problem.features(&population.individual(i).solution);
-            features.extend_from_slice(population.weight(i));
+            let features =
+                eval_features(problem, &population.individual(i).solution, population.weight(i));
             (i, eval_fn.predict(&features))
         })
         .collect();
@@ -828,6 +721,18 @@ mod tests {
         let old = Value::Object(fields);
         let restored = moela.restore(&VecF64Codec, &old, Duration::ZERO).expect("restore");
         assert!(restored.fault_log().is_clean());
+    }
+
+    #[test]
+    fn restore_rejects_population_size_mismatch() {
+        let problem = Zdt::zdt1(6);
+        let config =
+            |n| MoelaConfig::builder().population(n).generations(3).build().expect("valid");
+        let mut r = rng(1);
+        let state = Moela::new(config(8), &problem).start(&mut r);
+        let snap = state.snapshot_state(&VecF64Codec);
+        let other = Moela::new(config(12), &problem);
+        assert!(other.restore(&VecF64Codec, &snap, Duration::ZERO).is_err());
     }
 
     /// Once a run reports completion, further steps are no-ops that draw

@@ -14,6 +14,11 @@
 //! * decomposition support: Das–Dennis [`weights::uniform_weights`],
 //!   [`scalarize::Scalarizer`] (weighted sum and Tchebycheff),
 //!   [`scalarize::ReferencePoint`] tracking;
+//! * the decomposition EA MOELA and MOEA/D share
+//!   ([`population::Population`]: initialization, neighborhood mating,
+//!   the eq. (10) Tchebycheff update, checkpoint fields) and the eq. (8)
+//!   weighted-sum descent MOELA, MOOS and multi-start local search share
+//!   ([`local_search::greedy_descent`]);
 //! * objective normalization ([`normalize::Normalizer`]) and a bounded
 //!   [`archive::ParetoArchive`];
 //! * deterministic parallel batch evaluation
@@ -53,10 +58,12 @@ pub mod checkpoint;
 pub mod counter;
 pub mod fault;
 pub mod hypervolume;
+pub mod local_search;
 pub mod metrics;
 pub mod normalize;
 pub mod parallel;
 pub mod pareto;
+pub mod population;
 pub mod problem;
 pub mod problems;
 pub mod run;

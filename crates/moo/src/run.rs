@@ -251,6 +251,20 @@ mod tests {
     }
 
     #[test]
+    fn phv_of_empty_set_is_zero() {
+        let n = Normalizer::from_bounds(vec![0.0, 0.0], vec![1.0, 1.0]);
+        assert_eq!(normalized_phv(&[], &n), 0.0);
+    }
+
+    #[test]
+    fn phv_grows_when_a_dominating_point_appears() {
+        let n = Normalizer::from_bounds(vec![0.0, 0.0], vec![1.0, 1.0]);
+        let weak = vec![vec![0.8, 0.8]];
+        let strong = vec![vec![0.8, 0.8], vec![0.2, 0.2]];
+        assert!(normalized_phv(&strong, &n) > normalized_phv(&weak, &n));
+    }
+
+    #[test]
     fn front_filters_dominated_population_members() {
         let r = RunResult {
             population: vec![("a", vec![1.0, 2.0]), ("b", vec![2.0, 1.0]), ("c", vec![3.0, 3.0])],

@@ -16,7 +16,8 @@
 //! Files are written atomically: the bytes go to a uniquely named `.tmp`
 //! sibling which is fsynced and then renamed over the final name, so a
 //! crash mid-write can never corrupt a previously good checkpoint. The store keeps the last
-//! [`CheckpointStore::keep`] files (`ckpt-00000042.json`, numbered by
+//! [`CheckpointStore::DEFAULT_KEEP`] files (or the count given to
+//! [`CheckpointStore::with_keep`]; `ckpt-00000042.json`, numbered by
 //! sequence) and [`CheckpointStore::load_latest`] falls back to older
 //! rotations when the newest file is damaged.
 

@@ -1,7 +1,7 @@
 #!/usr/bin/env bash
-# Repo gate: formatting, lints, build, the full test suite, and the
-# end-to-end smoke tests in smoke.sh. CI runs exactly this script (see
-# .github/workflows/ci.yml); run it locally before pushing.
+# Repo gate: formatting, lints, rustdoc warnings, build, the full test
+# suite, and the end-to-end smoke tests in smoke.sh. CI runs exactly this
+# script (see .github/workflows/ci.yml); run it locally before pushing.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -10,6 +10,9 @@ cargo fmt --all -- --check
 
 echo "==> cargo clippy (deny warnings)"
 cargo clippy --workspace --all-targets -- -D warnings
+
+echo "==> cargo doc (deny warnings)"
+RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps
 
 echo "==> cargo build --release"
 cargo build --workspace --release
