@@ -6,6 +6,7 @@ use moela_manycore::ObjectiveSet;
 use moela_moo::fault::{FaultConfig, FaultPolicy};
 use moela_moo::ChaosSpec;
 use moela_obs::LogLevel;
+use moela_persist::Value;
 use moela_traffic::Benchmark;
 
 /// A failed parse. `code` is the process exit code: `1` for malformed
@@ -91,6 +92,16 @@ impl Algorithm {
     }
 }
 
+/// Seeded fault injection: the fault mix and the seed of its stream.
+/// The two only exist together, so injected faults are reproducible.
+#[derive(Clone, Copy, Debug, PartialEq)]
+pub struct Chaos {
+    /// Per-evaluation fault probabilities.
+    pub spec: ChaosSpec,
+    /// Seed for the chaos fault stream.
+    pub seed: u64,
+}
+
 /// Options shared by the run-like subcommands.
 #[derive(Clone, Debug, PartialEq)]
 pub struct RunOptions {
@@ -130,16 +141,8 @@ pub struct RunOptions {
     /// Re-evaluation attempts per faulted candidate before the policy
     /// applies.
     pub eval_retries: u32,
-    /// Incremental move evaluation: score a neighbor by patching the
-    /// base design's cached evaluation state instead of re-evaluating
-    /// from scratch, falling back to full evaluation whenever a move
-    /// cannot be scored exactly. Results are bit-identical on or off.
-    pub eval_delta: bool,
     /// Optional seeded fault injection (chaos testing).
-    pub chaos: Option<ChaosSpec>,
-    /// Seed for the chaos fault stream (required with `--chaos` so the
-    /// injected faults are reproducible).
-    pub chaos_seed: Option<u64>,
+    pub chaos: Option<Chaos>,
     /// Paint a rate-limited live progress line on stderr.
     pub progress: bool,
     /// Verbosity of human-facing status output (`quiet` = artifacts
@@ -151,6 +154,53 @@ impl RunOptions {
     /// The fault-containment configuration handed to every optimizer.
     pub fn fault(&self) -> FaultConfig {
         FaultConfig { policy: self.fault_policy, retries: self.eval_retries }
+    }
+
+    /// The run configuration as manifest and job-spec fields, in
+    /// manifest order. A run without chaos writes neither chaos key.
+    pub fn encode(&self) -> Vec<(&'static str, Value)> {
+        KEYS.iter().filter_map(|key| Some((key.name, (key.get)(self)?))).collect()
+    }
+
+    /// Reads an encoded configuration (a manifest or a job spec) over
+    /// `self`: each key present replaces its field, absent keys keep
+    /// theirs, the `extra` keys the caller owns are skipped and retired
+    /// keys are ignored; any other key is an error. With `require_core`,
+    /// the keys every manifest has recorded since format 1 must be
+    /// present. The result passes [`validate_run_options`], so a
+    /// manifest or spec refuses exactly what the command line refuses.
+    pub fn decode(
+        self,
+        encoded: &Value,
+        extra: &[&str],
+        require_core: bool,
+    ) -> Result<Self, ArgsError> {
+        let Value::Object(fields) = encoded else {
+            return Err(ArgsError::syntax("a run configuration must be a JSON object"));
+        };
+        let mut draft = Draft::new(self);
+        for (name, value) in fields {
+            let Some(key) = KEYS.iter().find(|key| key.name == name) else {
+                if RETIRED_KEYS.contains(&name.as_str()) || extra.contains(&name.as_str()) {
+                    continue;
+                }
+                let accepted: Vec<&str> =
+                    KEYS.iter().map(|key| key.name).chain(extra.iter().copied()).collect();
+                return Err(ArgsError::syntax(format!(
+                    "unknown key '{name}' (accepted: {})",
+                    accepted.join(", ")
+                )));
+            };
+            key.set.apply_value(&mut draft, name, value)?;
+        }
+        if require_core {
+            if let Some(key) =
+                KEYS.iter().find(|key| key.core && encoded.field_opt(key.name).is_none())
+            {
+                return Err(ArgsError::syntax(format!("missing key '{}'", key.name)));
+            }
+        }
+        draft.finish()
     }
 }
 
@@ -173,13 +223,226 @@ impl Default for RunOptions {
             crash_after_checkpoints: None,
             fault_policy: FaultPolicy::default(),
             eval_retries: 0,
-            eval_delta: true,
             chaos: None,
-            chaos_seed: None,
             progress: false,
             log_level: LogLevel::Info,
         }
     }
+}
+
+/// Keys older builds wrote that no longer configure anything: the
+/// evaluation cache and the delta-evaluation switch never changed
+/// results. Manifests and specs carrying them are accepted, and the
+/// values ignored.
+const RETIRED_KEYS: [&str; 2] = ["eval_cache", "eval_delta"];
+
+/// One run-configuration key: the only place its name, type and value
+/// parser are spelled. The name is the manifest and job-spec key, and
+/// `--` plus the name with `-` for `_` is the `run` flag.
+struct Key {
+    name: &'static str,
+    /// Recorded by every manifest since format 1.
+    core: bool,
+    /// The encoded value, or `None` to leave the key out.
+    get: fn(&RunOptions) -> Option<Value>,
+    set: Setter,
+}
+
+/// How a key's value is read, from a flag's text or a JSON value.
+#[derive(Clone, Copy)]
+enum Setter {
+    /// A string.
+    Text(fn(&mut Draft, &str) -> Result<(), String>),
+    /// A non-negative integer.
+    Count(fn(&mut Draft, u64) -> Result<(), String>),
+}
+
+impl Setter {
+    fn apply_flag(self, draft: &mut Draft, flag: &str, text: &str) -> Result<(), String> {
+        match self {
+            Setter::Text(set) => set(draft, text),
+            Setter::Count(set) => set(draft, parse_count(flag, text)?),
+        }
+    }
+
+    fn apply_value(self, draft: &mut Draft, name: &str, value: &Value) -> Result<(), String> {
+        match self {
+            Setter::Text(set) => {
+                set(draft, value.as_str().map_err(|_| format!("key '{name}' must be a string"))?)
+            }
+            Setter::Count(set) => set(
+                draft,
+                value
+                    .as_u64()
+                    .map_err(|_| format!("key '{name}' must be a non-negative integer"))?,
+            ),
+        }
+    }
+}
+
+/// Options being read. The chaos spec and its seed arrive as two keys
+/// and become one field once both have been seen.
+struct Draft {
+    opts: RunOptions,
+    chaos: Option<ChaosSpec>,
+    chaos_seed: Option<u64>,
+}
+
+impl Draft {
+    fn new(opts: RunOptions) -> Self {
+        let (chaos, chaos_seed) = (opts.chaos.map(|c| c.spec), opts.chaos.map(|c| c.seed));
+        Draft { opts, chaos, chaos_seed }
+    }
+
+    fn finish(self) -> Result<RunOptions, ArgsError> {
+        let mut opts = self.opts;
+        opts.chaos = parse_chaos(self.chaos, self.chaos_seed)?;
+        validate_run_options(&opts)?;
+        Ok(opts)
+    }
+}
+
+fn text(s: &str) -> Option<Value> {
+    Some(Value::Str(s.to_owned()))
+}
+
+fn put<T>(field: &mut T, value: T) -> Result<(), String> {
+    *field = value;
+    Ok(())
+}
+
+/// The fault-policy key, which `metrics.json` also reports under its
+/// `faults` object.
+pub const FAULT_POLICY_KEY: &str = "fault_policy";
+
+/// The run configuration, in manifest order.
+const KEYS: [Key; 13] = [
+    Key {
+        name: "algorithm",
+        core: true,
+        get: |o| text(o.algorithm.name()),
+        set: Setter::Text(|d, s| put(&mut d.opts.algorithm, Algorithm::parse(s)?)),
+    },
+    Key {
+        name: "app",
+        core: true,
+        get: |o| text(o.app.name()),
+        set: Setter::Text(|d, s| put(&mut d.opts.app, parse_app(s)?)),
+    },
+    Key {
+        name: "objectives",
+        core: true,
+        get: |o| Some(Value::U64(o.set.count() as u64)),
+        set: Setter::Count(|d, n| put(&mut d.opts.set, parse_objectives(n)?)),
+    },
+    Key {
+        name: "budget",
+        core: true,
+        get: |o| Some(Value::U64(o.budget)),
+        set: Setter::Count(|d, n| put(&mut d.opts.budget, n)),
+    },
+    Key {
+        name: "population",
+        core: true,
+        get: |o| Some(Value::U64(o.population as u64)),
+        set: Setter::Count(|d, n| put(&mut d.opts.population, n as usize)),
+    },
+    Key {
+        name: "seed",
+        core: true,
+        get: |o| Some(Value::U64(o.seed)),
+        set: Setter::Count(|d, n| put(&mut d.opts.seed, n)),
+    },
+    Key {
+        name: "threads",
+        core: true,
+        get: |o| Some(Value::U64(o.threads as u64)),
+        set: Setter::Count(|d, n| put(&mut d.opts.threads, n as usize)),
+    },
+    Key {
+        name: "time_guard_secs",
+        core: true,
+        get: |o| Some(Value::U64(o.time_guard.as_secs())),
+        set: Setter::Count(|d, n| put(&mut d.opts.time_guard, Duration::from_secs(n))),
+    },
+    Key {
+        name: "checkpoint_every",
+        core: true,
+        get: |o| Some(Value::U64(o.checkpoint_every)),
+        set: Setter::Count(|d, n| put(&mut d.opts.checkpoint_every, n)),
+    },
+    Key {
+        name: FAULT_POLICY_KEY,
+        core: false,
+        get: |o| text(o.fault_policy.name()),
+        set: Setter::Text(|d, s| put(&mut d.opts.fault_policy, FaultPolicy::parse(s)?)),
+    },
+    Key {
+        name: "eval_retries",
+        core: false,
+        get: |o| Some(Value::U64(u64::from(o.eval_retries))),
+        set: Setter::Count(|d, n| {
+            put(
+                &mut d.opts.eval_retries,
+                u32::try_from(n).map_err(|_| format!("too many retries ({n})"))?,
+            )
+        }),
+    },
+    Key {
+        name: "chaos",
+        core: false,
+        get: |o| o.chaos.map(|c| Value::Str(c.spec.to_string())),
+        set: Setter::Text(|d, s| put(&mut d.chaos, Some(ChaosSpec::parse(s)?))),
+    },
+    Key {
+        name: "chaos_seed",
+        core: false,
+        get: |o| o.chaos.map(|c| Value::U64(c.seed)),
+        set: Setter::Count(|d, n| put(&mut d.chaos_seed, Some(n))),
+    },
+];
+
+/// Parses an application name, case-insensitively.
+fn parse_app(name: &str) -> Result<Benchmark, String> {
+    Benchmark::ALL
+        .into_iter()
+        .find(|b| b.name().eq_ignore_ascii_case(name))
+        .ok_or_else(|| format!("unknown app '{name}'"))
+}
+
+/// Maps an objective count to its stack.
+fn parse_objectives(count: u64) -> Result<ObjectiveSet, String> {
+    match count {
+        3 => Ok(ObjectiveSet::Three),
+        4 => Ok(ObjectiveSet::Four),
+        5 => Ok(ObjectiveSet::Five),
+        other => Err(format!("objectives must be 3, 4, or 5 (got {other})")),
+    }
+}
+
+/// Pairs a chaos spec with its seed. Either one without the other is a
+/// contradiction the user must resolve (exit code 2).
+fn parse_chaos(spec: Option<ChaosSpec>, seed: Option<u64>) -> Result<Option<Chaos>, ArgsError> {
+    match (spec, seed) {
+        (Some(spec), Some(seed)) => Ok(Some(Chaos { spec, seed })),
+        (None, None) => Ok(None),
+        (Some(_), None) => Err(ArgsError::contradiction(
+            "--chaos injects a seeded fault stream and needs --chaos-seed <N> so the \
+             injected faults are reproducible",
+        )),
+        (None, Some(_)) => {
+            Err(ArgsError::contradiction("--chaos-seed has no effect without --chaos <spec>"))
+        }
+    }
+}
+
+fn parse_log_level(name: &str) -> Result<LogLevel, String> {
+    LogLevel::parse(name)
+        .ok_or_else(|| format!("--log-level must be quiet, info, or debug (got {name})"))
+}
+
+fn parse_count<T: std::str::FromStr>(flag: &str, text: &str) -> Result<T, String> {
+    text.parse().map_err(|_| format!("{flag} needs an integer"))
 }
 
 /// Options for the embedded DSE job server.
@@ -229,6 +492,22 @@ impl Default for ServeOptions {
     }
 }
 
+/// Per-invocation overrides `moela-dse resume` accepts on top of the
+/// stored manifest.
+#[derive(Clone, Debug, Default, Eq, PartialEq)]
+pub struct ResumeOverrides {
+    /// Worker-thread override (results are identical).
+    pub threads: Option<usize>,
+    /// Checkpoint-cadence override.
+    pub checkpoint_every: Option<u64>,
+    /// Crash injection for resume testing.
+    pub crash_after_checkpoints: Option<u64>,
+    /// Paint a rate-limited live progress line on stderr.
+    pub progress: bool,
+    /// Verbosity override; the manifest's run keeps the default otherwise.
+    pub log_level: Option<LogLevel>,
+}
+
 /// The parsed command.
 #[derive(Clone, Debug, PartialEq)]
 pub enum Command {
@@ -276,16 +555,8 @@ pub enum Command {
     Resume {
         /// The run directory (must hold a manifest and checkpoints).
         dir: String,
-        /// Optional worker-thread override (results are identical).
-        threads: Option<usize>,
-        /// Optional checkpoint-cadence override.
-        checkpoint_every: Option<u64>,
-        /// Crash injection for resume testing.
-        crash_after_checkpoints: Option<u64>,
-        /// Paint a rate-limited live progress line on stderr.
-        progress: bool,
-        /// Verbosity of human-facing status output.
-        log_level: LogLevel,
+        /// Per-invocation settings applied on top of the manifest.
+        overrides: ResumeOverrides,
     },
     /// Serve DSE jobs over HTTP with bounded queueing and graceful drain.
     Serve(ServeOptions),
@@ -360,33 +631,17 @@ pub fn parse(args: &[String]) -> Result<Command, ArgsError> {
 
 fn parse_resume(args: &[String]) -> Result<Command, ArgsError> {
     let mut dir = None;
-    let mut threads = None;
-    let mut checkpoint_every = None;
-    let mut crash_after_checkpoints = None;
-    let mut progress = false;
-    let mut log_level = LogLevel::Info;
+    let mut overrides = ResumeOverrides::default();
     let mut it = args.iter();
     while let Some(arg) = it.next() {
         let mut value = || it.next().ok_or_else(|| format!("flag {arg} needs a value"));
         match arg.as_str() {
-            "--progress" => progress = true,
-            "--log-level" => {
-                let name = value()?;
-                log_level = LogLevel::parse(name).ok_or_else(|| {
-                    format!("--log-level must be quiet, info, or debug (got {name})")
-                })?;
-            }
-            "--threads" => {
-                threads = Some(value()?.parse().map_err(|_| "--threads needs an integer")?);
-            }
-            "--checkpoint-every" => {
-                checkpoint_every =
-                    Some(value()?.parse().map_err(|_| "--checkpoint-every needs an integer")?);
-            }
+            "--progress" => overrides.progress = true,
+            "--log-level" => overrides.log_level = Some(parse_log_level(value()?)?),
+            "--threads" => overrides.threads = Some(parse_count(arg, value()?)?),
+            "--checkpoint-every" => overrides.checkpoint_every = Some(parse_count(arg, value()?)?),
             "--crash-after-checkpoints" => {
-                crash_after_checkpoints = Some(
-                    value()?.parse().map_err(|_| "--crash-after-checkpoints needs an integer")?,
-                );
+                overrides.crash_after_checkpoints = Some(parse_count(arg, value()?)?);
             }
             flag if flag.starts_with("--") => {
                 return Err(ArgsError::syntax(format!("unknown flag '{flag}'")))
@@ -396,14 +651,7 @@ fn parse_resume(args: &[String]) -> Result<Command, ArgsError> {
         }
     }
     let dir = dir.ok_or("resume needs a run directory (moela-dse resume <DIR>)")?;
-    Ok(Command::Resume {
-        dir,
-        threads,
-        checkpoint_every,
-        crash_after_checkpoints,
-        progress,
-        log_level,
-    })
+    Ok(Command::Resume { dir, overrides })
 }
 
 fn parse_report(args: &[String]) -> Result<Command, ArgsError> {
@@ -413,10 +661,7 @@ fn parse_report(args: &[String]) -> Result<Command, ArgsError> {
     while let Some(arg) = it.next() {
         match arg.as_str() {
             "--log-level" => {
-                let name = it.next().ok_or("flag --log-level needs a value")?;
-                log_level = LogLevel::parse(name).ok_or_else(|| {
-                    format!("--log-level must be quiet, info, or debug (got {name})")
-                })?;
+                log_level = parse_log_level(it.next().ok_or("flag --log-level needs a value")?)?;
             }
             flag if flag.starts_with("--") => {
                 return Err(ArgsError::syntax(format!("unknown flag '{flag}'")))
@@ -534,98 +779,42 @@ fn parse_serve(args: &[String]) -> Result<Command, ArgsError> {
 }
 
 fn parse_run_options(args: &[String]) -> Result<RunOptions, ArgsError> {
-    let mut opts = RunOptions::default();
+    let mut draft = Draft::new(RunOptions::default());
     let mut it = args.iter();
     while let Some(flag) = it.next() {
         let mut value = || it.next().cloned().ok_or_else(|| format!("flag {flag} needs a value"));
+        let opts = &mut draft.opts;
         match flag.as_str() {
-            "--app" => {
-                let name = value()?;
-                opts.app = Benchmark::ALL
-                    .into_iter()
-                    .find(|b| b.name().eq_ignore_ascii_case(&name))
-                    .ok_or_else(|| format!("unknown app '{name}'"))?;
-            }
-            "--objectives" => {
-                opts.set = match value()?.as_str() {
-                    "3" => ObjectiveSet::Three,
-                    "4" => ObjectiveSet::Four,
-                    "5" => ObjectiveSet::Five,
-                    other => {
-                        return Err(ArgsError::syntax(format!(
-                            "--objectives must be 3, 4, or 5 (got {other})"
-                        )))
-                    }
-                };
-            }
-            "--algorithm" => opts.algorithm = Algorithm::parse(&value()?)?,
-            "--budget" => {
-                opts.budget = value()?.parse().map_err(|_| "--budget needs an integer")?;
-            }
-            "--population" => {
-                opts.population = value()?.parse().map_err(|_| "--population needs an integer")?;
-            }
-            "--seed" => opts.seed = value()?.parse().map_err(|_| "--seed needs an integer")?,
-            "--threads" => {
-                opts.threads = value()?.parse().map_err(|_| "--threads needs an integer")?;
-            }
-            "--time-guard-secs" => {
-                opts.time_guard = Duration::from_secs(
-                    value()?.parse().map_err(|_| "--time-guard-secs needs an integer")?,
-                );
-            }
             "--trace-csv" => opts.trace_csv = Some(value()?),
             "--front-csv" => opts.front_csv = Some(value()?),
             "--dot" => opts.dot = Some(value()?),
             "--run-dir" => opts.run_dir = Some(value()?),
-            "--checkpoint-every" => {
-                opts.checkpoint_every =
-                    value()?.parse().map_err(|_| "--checkpoint-every needs an integer")?;
-            }
             "--crash-after-checkpoints" => {
-                opts.crash_after_checkpoints = Some(
-                    value()?.parse().map_err(|_| "--crash-after-checkpoints needs an integer")?,
-                );
-            }
-            "--fault-policy" => opts.fault_policy = FaultPolicy::parse(&value()?)?,
-            "--eval-retries" => {
-                opts.eval_retries =
-                    value()?.parse().map_err(|_| "--eval-retries needs an integer")?;
-            }
-            "--eval-delta" => {
-                let v = value()?;
-                opts.eval_delta = if v.eq_ignore_ascii_case("on") {
-                    true
-                } else if v.eq_ignore_ascii_case("off") {
-                    false
-                } else {
-                    return Err(ArgsError::syntax(format!(
-                        "--eval-delta must be on or off (got {v})"
-                    )));
-                };
-            }
-            "--chaos" => opts.chaos = Some(ChaosSpec::parse(&value()?)?),
-            "--chaos-seed" => {
-                opts.chaos_seed =
-                    Some(value()?.parse().map_err(|_| "--chaos-seed needs an integer")?);
+                opts.crash_after_checkpoints = Some(parse_count(flag, &value()?)?);
             }
             "--progress" => opts.progress = true,
-            "--log-level" => {
-                let name = value()?;
-                opts.log_level = LogLevel::parse(&name).ok_or_else(|| {
-                    format!("--log-level must be quiet, info, or debug (got {name})")
-                })?;
+            "--log-level" => opts.log_level = parse_log_level(&value()?)?,
+            other => {
+                // Every configuration key is also a flag: `time_guard_secs`
+                // is `--time-guard-secs`.
+                let key = other.strip_prefix("--").and_then(|name| {
+                    KEYS.iter().find(|key| {
+                        let flag_byte = |b| if b == b'_' { b'-' } else { b };
+                        key.name.bytes().map(flag_byte).eq(name.bytes())
+                    })
+                });
+                let key =
+                    key.ok_or_else(|| ArgsError::syntax(format!("unknown flag '{other}'")))?;
+                key.set.apply_flag(&mut draft, other, &value()?)?;
             }
-            other => return Err(ArgsError::syntax(format!("unknown flag '{other}'"))),
         }
     }
-    validate_run_options(&opts)?;
-    Ok(opts)
+    draft.finish()
 }
 
-/// Semantic validation shared by the flag parser and the job server's
-/// spec validation, so a served job refuses exactly the configurations
-/// the command line refuses.
+/// Semantic validation shared by flags, manifests and job specs, so a
+/// resumed run or a served job refuses exactly the configurations the
+/// command line refuses.
 pub fn validate_run_options(opts: &RunOptions) -> Result<(), ArgsError> {
     if opts.population < 2 {
         return Err(ArgsError::syntax("--population must be at least 2"));
@@ -641,15 +830,6 @@ pub fn validate_run_options(opts: &RunOptions) -> Result<(), ArgsError> {
             "--fault-policy fail aborts on the first fault, so --eval-retries > 0 can never \
              apply (use --fault-policy penalize-worst or skip to retry faulted candidates)",
         ));
-    }
-    if opts.chaos.is_some() && opts.chaos_seed.is_none() {
-        return Err(ArgsError::contradiction(
-            "--chaos injects a seeded fault stream and needs --chaos-seed <N> so the \
-             injected faults are reproducible",
-        ));
-    }
-    if opts.chaos_seed.is_some() && opts.chaos.is_none() {
-        return Err(ArgsError::contradiction("--chaos-seed has no effect without --chaos <spec>"));
     }
     Ok(())
 }
@@ -684,12 +864,6 @@ COMMON FLAGS:
     --seed <N>                          RNG seed          [11]
     --threads <N>                       evaluation worker threads, 0 = auto;
                                         results are identical for any N [1]
-    --eval-delta <on|off>               incremental move evaluation: score
-                                        a neighbor by patching the base
-                                        design's cached evaluation state
-                                        (exact; falls back to a full
-                                        evaluation for unrecognized moves);
-                                        results are identical either way [on]
     --trace-csv <PATH>                  write PHV trace CSV
     --front-csv <PATH>                  write final front CSV
     --dot <PATH>                        write best design as Graphviz DOT
@@ -724,13 +898,16 @@ FAULT CONTAINMENT FLAGS:
 RUN PERSISTENCE FLAGS:
     --run-dir <DIR>                     structured run store: manifest.json,
                                         rotating checkpoints/, trace.csv,
-                                        front.csv; enables `resume`
+                                        front.csv, trace.json, front.json,
+                                        events.jsonl, metrics.json;
+                                        enables `resume`
     --checkpoint-every <N>              checkpoint cadence in steps [1]
     --crash-after-checkpoints <N>       abort after N checkpoints (crash
                                         injection for resume testing)
 
 RESUME:
     moela-dse resume <DIR> [--threads N] [--checkpoint-every N]
+                           [--crash-after-checkpoints N]
                            [--progress] [--log-level L]
     continues an interrupted `run --run-dir DIR` from its newest intact
     checkpoint; the finished trace.csv and front.csv are byte-identical
@@ -761,14 +938,15 @@ SERVE:
                     [--addr-file PATH] [--max-attempts N]
                     [--retry-base-ms N] [--stall-timeout-s N]
                     [--stall-grace-s N]
-    embedded DSE job server: POST /jobs submits a run spec (the same
-    fields as `run` flags, plus timeout_s for a per-job wall-clock
-    deadline), GET /jobs/{id} polls state and live phase metrics,
-    GET /jobs/{id}/front fetches the finished front, DELETE cancels
-    at the next checkpoint, POST /shutdown drains gracefully; a full
-    queue answers 429 with Retry-After. Interrupted jobs are
-    rediscovered from --run-root and resumed on restart. Every job is
-    supervised: transient failures (I/O errors, exhausted fault
+    embedded DSE job server: POST /jobs submits a run spec, a JSON
+    object that takes the keys of a run's manifest.json (the `run`
+    flag names with _ for -, e.g. time_guard_secs) plus timeout_s for
+    a per-job wall-clock deadline; GET /jobs/{id} polls state and live
+    phase metrics, GET /jobs/{id}/front fetches the finished front,
+    DELETE cancels at the next checkpoint, POST /shutdown drains
+    gracefully; a full queue answers 429 with Retry-After. Interrupted
+    jobs are rediscovered from --run-root and resumed on restart. Every
+    job is supervised: transient failures (I/O errors, exhausted fault
     budgets, runner panics) retry from the last checkpoint with
     exponential backoff until --max-attempts, then quarantine; a
     watchdog interrupts jobs whose step heartbeat goes quiet for
@@ -861,23 +1039,22 @@ mod tests {
             "resume out/run1 --threads 4 --crash-after-checkpoints 2 --progress --log-level quiet",
         ))
         .expect("ok");
-        let Command::Resume {
-            dir,
-            threads,
-            checkpoint_every,
-            crash_after_checkpoints,
-            progress,
-            log_level,
-        } = cmd
-        else {
+        let Command::Resume { dir, overrides } = cmd else { panic!("expected Resume") };
+        assert_eq!(dir, "out/run1");
+        assert_eq!(
+            overrides,
+            ResumeOverrides {
+                threads: Some(4),
+                checkpoint_every: None,
+                crash_after_checkpoints: Some(2),
+                progress: true,
+                log_level: Some(LogLevel::Quiet),
+            }
+        );
+        let Command::Resume { overrides, .. } = parse(&argv("resume d")).expect("ok") else {
             panic!("expected Resume")
         };
-        assert_eq!(dir, "out/run1");
-        assert_eq!(threads, Some(4));
-        assert_eq!(checkpoint_every, None);
-        assert_eq!(crash_after_checkpoints, Some(2));
-        assert!(progress);
-        assert_eq!(log_level, LogLevel::Quiet);
+        assert_eq!(overrides, ResumeOverrides::default(), "absent flags keep the manifest's");
         assert!(parse(&argv("resume")).is_err());
         assert!(parse(&argv("resume a b")).is_err());
     }
@@ -958,30 +1135,87 @@ mod tests {
     }
 
     #[test]
-    fn retired_eval_cache_flag_is_an_unknown_flag() {
-        let err = parse(&argv("run --eval-cache off")).expect_err("the flag is gone");
-        assert_eq!(err.code, 1);
-        assert!(err.message.contains("unknown flag '--eval-cache'"), "{}", err.message);
+    fn retired_flags_are_unknown_flags() {
+        for flag in ["--eval-cache", "--eval-delta"] {
+            let err = parse(&argv(&format!("run {flag} on"))).expect_err("the flag is gone");
+            assert_eq!(err.code, 1);
+            assert!(err.message.contains(&format!("unknown flag '{flag}'")), "{}", err.message);
+        }
     }
 
     #[test]
-    fn eval_delta_parses_on_off_and_defaults_on() {
-        let Command::Run(o) = parse(&argv("run")).expect("ok") else { panic!("expected Run") };
-        assert!(o.eval_delta, "delta evaluation defaults on");
+    fn log_level_errors_read_the_same_for_every_subcommand() {
+        for cmd in
+            ["run --log-level loud", "resume d --log-level loud", "report d --log-level loud"]
+        {
+            let err = parse(&argv(cmd)).expect_err("bad level");
+            assert_eq!(err.code, 1);
+            assert_eq!(err.message, "--log-level must be quiet, info, or debug (got loud)");
+        }
+    }
 
-        let Command::Run(o) = parse(&argv("run --eval-delta off")).expect("ok") else {
+    #[test]
+    fn every_configuration_key_is_a_flag() {
+        let Command::Run(o) = parse(&argv(
+            "run --algorithm nsga2 --app gau --objectives 4 --budget 50 --population 6 \
+             --seed 5 --threads 2 --time-guard-secs 9 --checkpoint-every 3 \
+             --fault-policy skip --eval-retries 1 --chaos nan=0.5 --chaos-seed 8",
+        ))
+        .expect("ok") else {
             panic!("expected Run")
         };
-        assert!(!o.eval_delta);
-
-        let Command::Run(o) = parse(&argv("run --eval-delta on")).expect("ok") else {
-            panic!("expected Run")
+        let chaos = Chaos { spec: ChaosSpec { nan: 0.5, ..Default::default() }, seed: 8 };
+        let expected = RunOptions {
+            app: Benchmark::Gau,
+            set: ObjectiveSet::Four,
+            algorithm: Algorithm::Nsga2,
+            budget: 50,
+            population: 6,
+            seed: 5,
+            threads: 2,
+            time_guard: Duration::from_secs(9),
+            checkpoint_every: 3,
+            fault_policy: FaultPolicy::Skip,
+            eval_retries: 1,
+            chaos: Some(chaos),
+            ..Default::default()
         };
-        assert!(o.eval_delta);
+        assert_eq!(o, expected);
+        assert_eq!(
+            RunOptions::default().decode(&Value::object(o.encode()), &[], true).expect("decodes"),
+            o,
+            "the flags and the encoded keys describe the same configuration"
+        );
+        let err = parse(&argv("run --budget lots")).expect_err("not a count");
+        assert_eq!(err.message, "--budget needs an integer");
+    }
 
-        let err = parse(&argv("run --eval-delta maybe")).expect_err("bad value");
-        assert_eq!(err.code, 1);
-        assert!(err.message.contains("--eval-delta"));
+    #[test]
+    fn decode_reports_key_types_unknown_and_missing_keys() {
+        let decode = |fields: Vec<(&str, Value)>, require_core| {
+            RunOptions::default().decode(&Value::object(fields), &["extra"], require_core)
+        };
+        let err = decode(vec![("budget", Value::Str("5".into()))], false).expect_err("type");
+        assert_eq!(err.message, "key 'budget' must be a non-negative integer");
+        let err = decode(vec![("app", Value::U64(1))], false).expect_err("type");
+        assert_eq!(err.message, "key 'app' must be a string");
+        let err = decode(vec![("budgt", Value::U64(5))], false).expect_err("unknown");
+        assert!(err.message.contains("unknown key 'budgt'"), "{}", err.message);
+        assert!(err.message.contains("time_guard_secs, checkpoint_every"), "{}", err.message);
+        assert!(err.message.ends_with("chaos_seed, extra)"), "{}", err.message);
+        let err = decode(vec![("objectives", Value::U64(6))], false).expect_err("bad value");
+        assert!(err.message.contains("got 6"), "{}", err.message);
+        let err = decode(vec![("chaos_seed", Value::U64(6))], false).expect_err("contradiction");
+        assert_eq!(err.code, 2);
+
+        assert!(decode(vec![("extra", Value::Bool(true))], false).is_ok());
+        let mut core = Value::object(RunOptions::default().encode());
+        if let Value::Object(fields) = &mut core {
+            fields.retain(|(name, _)| name != "threads");
+        }
+        let err = RunOptions::default().decode(&core, &[], true).expect_err("incomplete");
+        assert_eq!(err.message, "missing key 'threads'");
+        assert!(RunOptions::default().decode(&core, &[], false).is_ok());
     }
 
     #[test]
@@ -993,10 +1227,10 @@ mod tests {
         let Command::Run(o) = cmd else { panic!("expected Run") };
         assert_eq!(o.fault_policy, FaultPolicy::Skip);
         assert_eq!(o.eval_retries, 2);
-        let spec = o.chaos.expect("chaos set");
-        assert_eq!(spec.panic, 0.1);
-        assert_eq!(spec.nan, 0.05);
-        assert_eq!(o.chaos_seed, Some(7));
+        let chaos = o.chaos.expect("chaos set");
+        assert_eq!(chaos.spec.panic, 0.1);
+        assert_eq!(chaos.spec.nan, 0.05);
+        assert_eq!(chaos.seed, 7);
         assert_eq!(o.fault().policy, FaultPolicy::Skip);
         assert_eq!(o.fault().retries, 2);
     }
@@ -1007,7 +1241,6 @@ mod tests {
         assert_eq!(o.fault_policy, FaultPolicy::Fail);
         assert_eq!(o.eval_retries, 0);
         assert_eq!(o.chaos, None);
-        assert_eq!(o.chaos_seed, None);
     }
 
     #[test]

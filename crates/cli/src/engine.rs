@@ -20,20 +20,23 @@ use moela_baselines::{
     MoosConfig, Nsga2, Nsga2Config, RandomSearchConfig,
 };
 use moela_core::{Moela, MoelaConfig};
-use moela_manycore::{viz, Design, ManycoreProblem, ObjectiveSet, PlatformConfig};
+use moela_manycore::{viz, Design, ManycoreProblem, PlatformConfig};
 use moela_moo::checkpoint::{CancelToken, Resumable};
-use moela_moo::fault::{FaultLog, FaultPolicy};
+use moela_moo::fault::FaultLog;
 use moela_moo::normalize::Normalizer;
 use moela_moo::run::RunResult;
-use moela_moo::{ChaosProblem, ChaosSpec, Problem};
+use moela_moo::{ChaosProblem, Problem};
 use moela_obs::{JsonlSink, MetricsAggregator, Obs, ProgressReporter, Reporter, SharedSink, Sink};
 use moela_persist::{
     CheckpointStore, PersistError, Restore, RunStore, Snapshot, Value, FORMAT_VERSION,
 };
 use moela_serve::{Heartbeat, LiveMetrics};
-use moela_traffic::{Benchmark, Workload};
+use moela_traffic::Workload;
 
-use crate::args::{Algorithm, RunOptions};
+use crate::args::{
+    validate_run_options, Algorithm, ArgsError, Chaos, ResumeOverrides, RunOptions,
+    FAULT_POLICY_KEY,
+};
 
 /// The build version stamped into manifests and checkpoints.
 pub(crate) const VERSION: &str = env!("CARGO_PKG_VERSION");
@@ -90,11 +93,13 @@ pub(crate) fn transient(message: impl Into<String>) -> CliError {
     CliError { message: message.into(), code: 1, class: ErrorClass::Transient }
 }
 
-/// A configuration the user must fix (exit code 2) — e.g. `--chaos`
-/// without `--chaos-seed` arriving through a manifest or job spec that
-/// bypassed argument parsing.
-pub(crate) fn user_error(message: impl Into<String>) -> CliError {
-    CliError { message: message.into(), code: 2, class: ErrorClass::Fatal }
+impl From<ArgsError> for CliError {
+    /// A configuration refused by the codec or its validation keeps its
+    /// exit code (2 for a contradiction the user must fix, such as a
+    /// manifest that records `chaos` without `chaos_seed`).
+    fn from(e: ArgsError) -> Self {
+        CliError { message: e.message, code: e.code, class: ErrorClass::Fatal }
+    }
 }
 
 /// External hooks threaded through a run by the job server. Plain CLI
@@ -144,10 +149,8 @@ pub(crate) enum RunStatus {
 pub(crate) fn build_problem(opts: &RunOptions) -> Result<ManycoreProblem, CliError> {
     let platform = PlatformConfig::paper();
     let workload = Workload::synthesize(opts.app, platform.pe_mix(), opts.seed);
-    let mut problem = ManycoreProblem::new(platform, workload, opts.set)
-        .map_err(|e| fail(format!("cannot build the paper platform: {e}")))?;
-    problem.set_delta_eval(opts.eval_delta);
-    Ok(problem)
+    ManycoreProblem::new(platform, workload, opts.set)
+        .map_err(|e| fail(format!("cannot build the paper platform: {e}")))
 }
 
 pub(crate) fn corpus_normalizer(problem: &ManycoreProblem, seed: u64) -> Normalizer {
@@ -256,7 +259,7 @@ impl Telemetry {
             (
                 "faults",
                 Value::object(vec![
-                    ("fault_policy", Value::Str(opts.fault_policy.name().to_owned())),
+                    (FAULT_POLICY_KEY, Value::Str(opts.fault_policy.name().to_owned())),
                     ("total", Value::U64(log.faults())),
                     ("panics", Value::U64(log.panics)),
                     ("non_finite", Value::U64(log.non_finite)),
@@ -270,15 +273,14 @@ impl Telemetry {
             (
                 "delta",
                 Value::object(vec![
-                    ("enabled", Value::Bool(opts.eval_delta)),
                     ("hits", Value::U64(delta_hits)),
                     ("fallbacks", Value::U64(delta_fallbacks)),
                 ]),
             ),
             ("telemetry", rendered),
         ];
-        if let Some(spec) = &opts.chaos {
-            fields.push(("chaos", Value::Str(spec.to_string())));
+        if let Some(chaos) = &opts.chaos {
+            fields.push(("chaos", Value::Str(chaos.spec.to_string())));
         }
         if self.attempt > 0 {
             // Only supervised (served) executions carry this, so direct
@@ -460,16 +462,7 @@ pub(crate) fn execute(
             telemetry,
             hooks,
         ),
-        Some(spec) => {
-            // A chaos spec without its seed can only arrive through a
-            // manifest or job spec that bypassed argument validation;
-            // refuse it as the user error it is instead of panicking.
-            let Some(seed) = opts.chaos_seed else {
-                return Err(user_error(
-                    "--chaos injects a seeded fault stream and needs --chaos-seed <N> so the \
-                     injected faults are reproducible",
-                ));
-            };
+        Some(Chaos { spec, seed }) => {
             let chaotic = ChaosProblem::new(problem, spec, seed);
             if let Some((point, _)) = &resume {
                 // Replay the fault stream from the checkpointed ordinal;
@@ -642,25 +635,8 @@ pub(crate) fn manifest_value(opts: &RunOptions, normalizer: &Normalizer) -> Valu
     let mut fields = vec![
         ("format", Value::U64(u64::from(FORMAT_VERSION))),
         ("version", Value::Str(VERSION.to_owned())),
-        ("algorithm", Value::Str(opts.algorithm.name().to_owned())),
-        ("app", Value::Str(opts.app.name().to_owned())),
-        ("objectives", Value::U64(opts.set.count() as u64)),
-        ("budget", Value::U64(opts.budget)),
-        ("population", Value::U64(opts.population as u64)),
-        ("seed", Value::U64(opts.seed)),
-        ("threads", Value::U64(opts.threads as u64)),
-        ("time_guard_secs", Value::U64(opts.time_guard.as_secs())),
-        ("checkpoint_every", Value::U64(opts.checkpoint_every)),
-        ("fault_policy", Value::Str(opts.fault_policy.name().to_owned())),
-        ("eval_retries", Value::U64(u64::from(opts.eval_retries))),
-        ("eval_delta", Value::Bool(opts.eval_delta)),
     ];
-    if let Some(spec) = &opts.chaos {
-        fields.push(("chaos", Value::Str(spec.to_string())));
-    }
-    if let Some(seed) = opts.chaos_seed {
-        fields.push(("chaos_seed", Value::U64(seed)));
-    }
+    fields.extend(opts.encode());
     fields.push(("normalizer", normalizer.snapshot()));
     Value::object(fields)
 }
@@ -675,68 +651,9 @@ pub(crate) fn options_from_manifest(m: &Value) -> Result<(RunOptions, Normalizer
              format {FORMAT_VERSION}"
         )));
     }
-    let app_name = m.field("app")?.as_str()?;
-    let app = Benchmark::ALL
-        .into_iter()
-        .find(|b| b.name().eq_ignore_ascii_case(app_name))
-        .ok_or_else(|| fail(format!("manifest names unknown app '{app_name}'")))?;
-    let set = match m.field("objectives")?.as_u64()? {
-        3 => ObjectiveSet::Three,
-        4 => ObjectiveSet::Four,
-        5 => ObjectiveSet::Five,
-        other => return Err(fail(format!("manifest names unknown objective stack '{other}'"))),
-    };
-    let algorithm = Algorithm::parse(m.field("algorithm")?.as_str()?).map_err(fail)?;
-    // Fault/chaos fields are absent from manifests written before fault
-    // containment existed; default to the pre-containment behavior.
-    let fault_policy = match m.field_opt("fault_policy") {
-        Some(v) => FaultPolicy::parse(v.as_str()?).map_err(fail)?,
-        None => FaultPolicy::default(),
-    };
-    let eval_retries = match m.field_opt("eval_retries") {
-        Some(v) => v.as_u64()? as u32,
-        None => 0,
-    };
-    // Manifests from builds with the retired `--eval-cache` flag still
-    // carry an `eval_cache` key; it never changed results, so it is
-    // ignored.
-    // Manifests written before delta evaluation existed resume with
-    // today's default — the fast path is bit-identical to full
-    // evaluation, so the choice never changes resumed artifacts.
-    let eval_delta = match m.field_opt("eval_delta") {
-        Some(v) => v.as_bool()?,
-        None => RunOptions::default().eval_delta,
-    };
-    let chaos = match m.field_opt("chaos") {
-        Some(v) => Some(ChaosSpec::parse(v.as_str()?).map_err(fail)?),
-        None => None,
-    };
-    let chaos_seed = match m.field_opt("chaos_seed") {
-        Some(v) => Some(v.as_u64()?),
-        None => None,
-    };
-    if chaos.is_some() && chaos_seed.is_none() {
-        // The same contradiction `--chaos` without `--chaos-seed` is on
-        // the command line: a configuration the user must fix (exit 2).
-        return Err(user_error("manifest configures --chaos but records no chaos seed"));
-    }
-    let opts = RunOptions {
-        app,
-        set,
-        algorithm,
-        budget: m.field("budget")?.as_u64()?,
-        population: m.field("population")?.as_usize()?,
-        seed: m.field("seed")?.as_u64()?,
-        threads: m.field("threads")?.as_usize()?,
-        time_guard: Duration::from_secs(m.field("time_guard_secs")?.as_u64()?),
-        checkpoint_every: m.field("checkpoint_every")?.as_u64()?,
-        fault_policy,
-        eval_retries,
-        eval_delta,
-        chaos,
-        chaos_seed,
-        ..Default::default()
-    };
+    let opts = RunOptions::default()
+        .decode(m, &["format", "version", "normalizer"], true)
+        .map_err(|e| ArgsError { message: format!("manifest: {}", e.message), ..e })?;
     let normalizer = Normalizer::restore(m.field("normalizer")?)?;
     if normalizer.len() != opts.set.count() {
         return Err(fail("manifest normalizer does not match the objective stack"));
@@ -905,17 +822,12 @@ pub(crate) fn run(opts: &RunOptions, hooks: &ExecHooks<'_>) -> Result<RunStatus,
         opts.budget,
         opts.seed
     ));
-    if let Some(spec) = &opts.chaos {
-        // The seed may legitimately be absent here (a hand-written job
-        // spec); `execute` turns that into the structured exit-2 error,
-        // so this log line must not assume it.
-        if let Some(chaos_seed) = opts.chaos_seed {
-            reporter.info(&format!(
-                "chaos injection: {spec} (chaos seed {chaos_seed}), fault policy {}, {} retries",
-                opts.fault_policy.name(),
-                opts.eval_retries
-            ));
-        }
+    if let Some(Chaos { spec, seed }) = &opts.chaos {
+        reporter.info(&format!(
+            "chaos injection: {spec} (chaos seed {seed}), fault policy {}, {} retries",
+            opts.fault_policy.name(),
+            opts.eval_retries
+        ));
     }
     let run_store = match &opts.run_dir {
         Some(dir) => {
@@ -962,17 +874,6 @@ pub(crate) fn run(opts: &RunOptions, hooks: &ExecHooks<'_>) -> Result<RunStatus,
     }
 }
 
-/// Per-invocation overrides `moela-dse resume` accepts on top of the
-/// stored manifest.
-#[derive(Clone, Debug, Default)]
-pub(crate) struct ResumeOverrides {
-    pub(crate) threads: Option<usize>,
-    pub(crate) checkpoint_every: Option<u64>,
-    pub(crate) crash_after_checkpoints: Option<u64>,
-    pub(crate) progress: bool,
-    pub(crate) log_level: Option<moela_obs::LogLevel>,
-}
-
 /// Resumes an interrupted run directory from its newest intact
 /// checkpoint (the `moela-dse resume` body, also the server's
 /// rediscovered-job path).
@@ -988,9 +889,6 @@ pub(crate) fn resume(
         opts.threads = t;
     }
     if let Some(e) = overrides.checkpoint_every {
-        if e == 0 {
-            return Err(fail("--checkpoint-every must be positive"));
-        }
         opts.checkpoint_every = e;
     }
     opts.crash_after_checkpoints = overrides.crash_after_checkpoints;
@@ -999,6 +897,7 @@ pub(crate) fn resume(
     if let Some(level) = overrides.log_level {
         opts.log_level = level;
     }
+    validate_run_options(&opts)?;
     let reporter = Reporter::new(opts.log_level);
 
     let checkpoints = store.checkpoints()?;
@@ -1090,5 +989,94 @@ pub(crate) fn resume(
             reporter.info(&format!("interrupted at step {completed}; checkpoint written"));
             Ok(RunStatus::Interrupted)
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use moela_moo::fault::FaultPolicy;
+    use moela_moo::ChaosSpec;
+
+    /// The golden-test configuration: BFS, three objectives, budget 120,
+    /// population 8, seed 7.
+    fn golden(algorithm: Algorithm, threads: usize, chaos: Option<Chaos>) -> RunOptions {
+        let mut opts = RunOptions {
+            algorithm,
+            budget: 120,
+            population: 8,
+            seed: 7,
+            threads,
+            log_level: moela_obs::LogLevel::Quiet,
+            ..Default::default()
+        };
+        if chaos.is_some() {
+            opts.chaos = chaos;
+            opts.fault_policy = FaultPolicy::PenalizeWorst;
+            opts.eval_retries = 1;
+        }
+        opts
+    }
+
+    /// Trace points and front rows of one run, as bits.
+    type Bits = (Vec<(usize, u64, u64)>, Vec<Vec<u64>>);
+
+    /// Drives `opts` over `problem` through the same path `run` takes.
+    fn run_bits(opts: &RunOptions, problem: &ManycoreProblem) -> Bits {
+        let normalizer = corpus_normalizer(problem, opts.seed);
+        let mut telemetry = Telemetry::new(opts, None, 0);
+        let driven =
+            execute(opts, problem, &normalizer, None, None, &mut telemetry, &ExecHooks::none());
+        let Ok(Driven::Finished(result, _)) = driven else { panic!("the run did not finish") };
+        let trace = result.trace.iter().map(|p| (p.generation, p.evaluations, p.phv.to_bits()));
+        let front = result.front_objectives().into_iter();
+        (trace.collect(), front.map(|row| row.into_iter().map(f64::to_bits).collect()).collect())
+    }
+
+    /// Full evaluation (the capacity-0 delta engine) at one thread is the
+    /// reference; the default delta path at one and four threads must
+    /// match it bit for bit.
+    fn assert_delta_is_invisible(algorithm: Algorithm, chaos: Option<Chaos>) {
+        let opts = golden(algorithm, 1, chaos);
+        let mut full = build_problem(&opts).expect("problem");
+        full.set_delta_eval(false);
+        let reference = run_bits(&opts, &full);
+        assert_eq!(full.delta_stats().0, 0, "the reference never takes the delta path");
+        for threads in [1, 4] {
+            let opts = golden(algorithm, threads, chaos);
+            let delta = build_problem(&opts).expect("problem");
+            assert_eq!(
+                run_bits(&opts, &delta),
+                reference,
+                "{}: delta evaluation at {threads} threads differs from full evaluation",
+                algorithm.name()
+            );
+        }
+    }
+
+    macro_rules! parity_tests {
+        ($($name:ident: $algorithm:expr;)*) => {$(
+            #[test]
+            fn $name() {
+                assert_delta_is_invisible($algorithm, None);
+            }
+        )*};
+    }
+
+    parity_tests! {
+        moela_is_bit_identical_with_delta_on_or_off: Algorithm::Moela;
+        moead_is_bit_identical_with_delta_on_or_off: Algorithm::Moead;
+        moos_is_bit_identical_with_delta_on_or_off: Algorithm::Moos;
+        moo_stage_is_bit_identical_with_delta_on_or_off: Algorithm::MooStage;
+        nsga2_is_bit_identical_with_delta_on_or_off: Algorithm::Nsga2;
+        random_is_bit_identical_with_delta_on_or_off: Algorithm::Random;
+    }
+
+    /// The chaos injector sits above the delta-capable problem and
+    /// consumes ordinals identically on both paths.
+    #[test]
+    fn chaotic_moos_is_bit_identical_with_delta_on_or_off() {
+        let spec = ChaosSpec::parse("panic=0.03,nan=0.03,arity=0.02").expect("spec");
+        assert_delta_is_invisible(Algorithm::Moos, Some(Chaos { spec, seed: 41 }));
     }
 }

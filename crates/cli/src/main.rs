@@ -26,7 +26,7 @@ use moela_obs::Reporter;
 use moela_traffic::{Benchmark, PeKind, Workload};
 
 use args::{Algorithm, Command, RunOptions};
-use engine::{CliError, ExecHooks, ResumeOverrides, Telemetry, VERSION};
+use engine::{CliError, ExecHooks, Telemetry, VERSION};
 
 fn main() -> ExitCode {
     let argv: Vec<String> = std::env::args().skip(1).collect();
@@ -49,21 +49,7 @@ fn main() -> ExitCode {
             Ok(())
         }
         Command::Run(opts) => engine::run(&opts, &ExecHooks::none()).map(|_| ()),
-        Command::Resume {
-            dir,
-            threads,
-            checkpoint_every,
-            crash_after_checkpoints,
-            progress,
-            log_level,
-        } => {
-            let overrides = ResumeOverrides {
-                threads,
-                checkpoint_every,
-                crash_after_checkpoints,
-                progress,
-                log_level: Some(log_level),
-            };
+        Command::Resume { dir, overrides } => {
             engine::resume(&dir, &overrides, &ExecHooks::none()).map(|_| ())
         }
         Command::Serve(opts) => serve_cmd::serve(&opts),

@@ -12,132 +12,37 @@ use std::path::PathBuf;
 use std::sync::Arc;
 use std::time::Duration;
 
-use moela_manycore::ObjectiveSet;
-use moela_moo::fault::FaultPolicy;
-use moela_moo::ChaosSpec;
 use moela_obs::LogLevel;
 use moela_persist::Value;
 use moela_serve::{
     JobContext, JobRunner, ReportBuilder, RunError, RunOutcome, ServeConfig, Server,
 };
-use moela_traffic::Benchmark;
 
-use crate::args::{self, Algorithm, RunOptions, ServeOptions};
-use crate::engine::{self, fail, CliError, ErrorClass, ExecHooks, ResumeOverrides, RunStatus};
+use crate::args::{ResumeOverrides, RunOptions, ServeOptions};
+use crate::engine::{self, fail, CliError, ErrorClass, ExecHooks, RunStatus};
 
-/// The spec keys a job submission may set; everything else is rejected
-/// so a typo (`"algorthm"`) fails loudly instead of running defaults.
-const SPEC_KEYS: [&str; 16] = [
-    "app",
-    "objectives",
-    "algorithm",
-    "budget",
-    "population",
-    "seed",
-    "threads",
-    "time_guard_secs",
-    "checkpoint_every",
-    "fault_policy",
-    "eval_retries",
-    // Retired with the `--eval-cache` flag: accepted so older specs
-    // still submit, and its value is ignored.
-    "eval_cache",
-    "eval_delta",
-    "chaos",
-    "chaos_seed",
-    "timeout_s",
-];
+/// The spec key for the per-job wall-clock deadline: server-side state
+/// that rides beside the run configuration.
+const TIMEOUT_KEY: &str = "timeout_s";
 
-/// Translates a submission spec into [`RunOptions`]. Unknown keys are
-/// errors; absent keys take the same defaults as the `run` flags,
-/// except the checkpoint cadence which falls back to the server's
-/// `--checkpoint-every` so every served job is resumable.
+/// Translates a submission spec into [`RunOptions`] through the same
+/// codec that reads manifests. Unknown keys are errors, so a typo
+/// (`"algorthm"`) fails loudly instead of running defaults; absent keys
+/// take the same defaults as the `run` flags, except the checkpoint
+/// cadence which falls back to the server's `--checkpoint-every` so
+/// every served job is resumable.
 fn spec_to_options(spec: &Value, default_checkpoint_every: u64) -> Result<RunOptions, String> {
-    let Value::Object(fields) = spec else {
-        return Err("job spec must be a JSON object".into());
+    // Served jobs log through job.json and events.jsonl, not the server's
+    // stdout; interactive progress painting makes no sense here either.
+    let defaults = RunOptions {
+        checkpoint_every: default_checkpoint_every,
+        log_level: LogLevel::Quiet,
+        ..Default::default()
     };
-    for (key, _) in fields {
-        if !SPEC_KEYS.contains(&key.as_str()) {
-            return Err(format!("unknown spec key '{key}' (accepted: {})", SPEC_KEYS.join(", ")));
-        }
-    }
-    let mut opts = RunOptions { checkpoint_every: default_checkpoint_every, ..Default::default() };
-    let str_field = |name: &str| -> Result<Option<&str>, String> {
-        match spec.field_opt(name) {
-            Some(v) => {
-                v.as_str().map(Some).map_err(|_| format!("spec key '{name}' must be a string"))
-            }
-            None => Ok(None),
-        }
-    };
-    let u64_field = |name: &str| -> Result<Option<u64>, String> {
-        match spec.field_opt(name) {
-            Some(v) => v
-                .as_u64()
-                .map(Some)
-                .map_err(|_| format!("spec key '{name}' must be a non-negative integer")),
-            None => Ok(None),
-        }
-    };
-    if let Some(name) = str_field("app")? {
-        opts.app = Benchmark::ALL
-            .into_iter()
-            .find(|b| b.name().eq_ignore_ascii_case(name))
-            .ok_or_else(|| format!("unknown app '{name}'"))?;
-    }
-    if let Some(n) = u64_field("objectives")? {
-        opts.set = match n {
-            3 => ObjectiveSet::Three,
-            4 => ObjectiveSet::Four,
-            5 => ObjectiveSet::Five,
-            other => return Err(format!("objectives must be 3, 4, or 5 (got {other})")),
-        };
-    }
-    if let Some(name) = str_field("algorithm")? {
-        opts.algorithm = Algorithm::parse(name)?;
-    }
-    if let Some(n) = u64_field("budget")? {
-        opts.budget = n;
-    }
-    if let Some(n) = u64_field("population")? {
-        opts.population = n as usize;
-    }
-    if let Some(n) = u64_field("seed")? {
-        opts.seed = n;
-    }
-    if let Some(n) = u64_field("threads")? {
-        opts.threads = n as usize;
-    }
-    if let Some(n) = u64_field("time_guard_secs")? {
-        opts.time_guard = Duration::from_secs(n);
-    }
-    if let Some(n) = u64_field("checkpoint_every")? {
-        opts.checkpoint_every = n;
-    }
-    if let Some(name) = str_field("fault_policy")? {
-        opts.fault_policy = FaultPolicy::parse(name)?;
-    }
-    if let Some(n) = u64_field("eval_retries")? {
-        opts.eval_retries = n as u32;
-    }
-    if let Some(v) = spec.field_opt("eval_delta") {
-        opts.eval_delta =
-            v.as_bool().map_err(|_| "spec key 'eval_delta' must be a boolean".to_owned())?;
-    }
-    if let Some(s) = str_field("chaos")? {
-        opts.chaos = Some(ChaosSpec::parse(s)?);
-    }
-    if let Some(n) = u64_field("chaos_seed")? {
-        opts.chaos_seed = Some(n);
-    }
+    let opts = defaults.decode(spec, &[TIMEOUT_KEY], false).map_err(|e| e.message)?;
     // `timeout_s` is validated here (so submission rejects it loudly)
     // but enforced by the server's supervisor, not the run engine.
     timeout_from_spec(spec)?;
-    // Served jobs log through job.json and events.jsonl, not the server's
-    // stdout; interactive progress painting makes no sense here either.
-    opts.log_level = LogLevel::Quiet;
-    opts.progress = false;
-    args::validate_run_options(&opts).map_err(|e| e.message)?;
     Ok(opts)
 }
 
@@ -145,7 +50,7 @@ fn spec_to_options(spec: &Value, default_checkpoint_every: u64) -> Result<RunOpt
 /// engine never sees it — the server's supervisor enforces it at step
 /// boundaries through the cancel seam.
 fn timeout_from_spec(spec: &Value) -> Result<Option<u64>, String> {
-    match spec.field_opt("timeout_s") {
+    match spec.field_opt(TIMEOUT_KEY) {
         Some(v) => {
             let secs = v
                 .as_u64()
@@ -163,27 +68,7 @@ fn timeout_from_spec(spec: &Value) -> Result<Option<u64>, String> {
 /// what gets persisted in `job.json`, so a restarted server re-derives
 /// the identical [`RunOptions`] without reparsing the client's input.
 fn normalized_spec(opts: &RunOptions) -> Value {
-    let mut fields = vec![
-        ("app", Value::Str(opts.app.name().to_owned())),
-        ("objectives", Value::U64(opts.set.count() as u64)),
-        ("algorithm", Value::Str(opts.algorithm.name().to_owned())),
-        ("budget", Value::U64(opts.budget)),
-        ("population", Value::U64(opts.population as u64)),
-        ("seed", Value::U64(opts.seed)),
-        ("threads", Value::U64(opts.threads as u64)),
-        ("time_guard_secs", Value::U64(opts.time_guard.as_secs())),
-        ("checkpoint_every", Value::U64(opts.checkpoint_every)),
-        ("fault_policy", Value::Str(opts.fault_policy.name().to_owned())),
-        ("eval_retries", Value::U64(u64::from(opts.eval_retries))),
-        ("eval_delta", Value::Bool(opts.eval_delta)),
-    ];
-    if let Some(spec) = &opts.chaos {
-        fields.push(("chaos", Value::Str(spec.to_string())));
-    }
-    if let Some(seed) = opts.chaos_seed {
-        fields.push(("chaos_seed", Value::U64(seed)));
-    }
-    Value::object(fields)
+    Value::object(opts.encode())
 }
 
 /// True when `dir` holds at least one *completed* checkpoint file
@@ -215,7 +100,7 @@ impl JobRunner for DseRunner {
         // it must ride the normalized spec to survive in job.json.
         if let Some(secs) = timeout_from_spec(spec)? {
             if let Value::Object(fields) = &mut normalized {
-                fields.push(("timeout_s".to_owned(), Value::U64(secs)));
+                fields.push((TIMEOUT_KEY.to_owned(), Value::U64(secs)));
             }
         }
         Ok(normalized)
@@ -293,7 +178,13 @@ pub(crate) fn serve(opts: &ServeOptions) -> Result<(), CliError> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::args::{Algorithm, Chaos};
+    use moela_manycore::ObjectiveSet;
+    use moela_moo::fault::FaultPolicy;
+    use moela_moo::normalize::Normalizer;
+    use moela_moo::ChaosSpec;
     use moela_serve::{JobManager, JobState, ServerMetrics, SupervisePolicy};
+    use moela_traffic::Benchmark;
 
     #[test]
     fn specs_reject_unknown_keys_and_bad_values() {
@@ -331,15 +222,6 @@ mod tests {
         let normalized = normalized_spec(&opts);
         let reparsed = spec_to_options(&normalized, 1).expect("normalized specs revalidate");
         assert_eq!(reparsed, opts, "normalization round-trips");
-
-        let spec = Value::object(vec![("eval_delta", Value::Bool(false))]);
-        let opts = spec_to_options(&spec, 1).expect("ok");
-        assert!(!opts.eval_delta, "eval_delta=false must parse");
-        let reparsed = spec_to_options(&normalized_spec(&opts), 1).expect("revalidates");
-        assert_eq!(reparsed, opts, "eval_delta survives normalization");
-        let err = spec_to_options(&Value::object(vec![("eval_delta", Value::U64(1))]), 1)
-            .expect_err("non-boolean eval_delta");
-        assert!(err.contains("eval_delta"), "{err}");
     }
 
     #[test]
@@ -364,29 +246,58 @@ mod tests {
         runner.validate(&normalized).expect("normalized specs revalidate");
     }
 
-    #[test]
-    fn specs_with_the_retired_eval_cache_key_are_accepted_and_run() {
-        let fields = |eval_cache: Option<u64>| {
-            let mut fields = vec![
-                ("app", Value::Str("BFS".into())),
-                ("objectives", Value::U64(3)),
-                ("algorithm", Value::Str("moela".into())),
-                ("budget", Value::U64(120)),
-                ("population", Value::U64(8)),
-                ("seed", Value::U64(7)),
-            ];
-            fields.extend(eval_cache.map(|n| ("eval_cache", Value::U64(n))));
-            Value::object(fields)
-        };
-        let spec = fields(Some(4096));
-        assert_eq!(
-            spec_to_options(&spec, 1).expect("the retired key is accepted"),
-            spec_to_options(&fields(None), 1).expect("plain spec"),
-            "the retired key's value is ignored"
-        );
+    /// Options that set every encoded key away from its default.
+    fn configurations() -> Vec<RunOptions> {
+        let chaos =
+            Chaos { spec: ChaosSpec::parse("panic=0.03,nan=0.25").expect("spec"), seed: 41 };
+        let mut all = Vec::new();
+        for (algorithm, _) in Algorithm::ALL {
+            for set in [ObjectiveSet::Three, ObjectiveSet::Four, ObjectiveSet::Five] {
+                for chaos in [None, Some(chaos)] {
+                    all.push(RunOptions {
+                        algorithm,
+                        app: Benchmark::Srad,
+                        set,
+                        budget: 321,
+                        population: 12,
+                        seed: 99,
+                        threads: 3,
+                        time_guard: Duration::from_secs(45),
+                        checkpoint_every: 2,
+                        fault_policy: FaultPolicy::Skip,
+                        eval_retries: 2,
+                        chaos,
+                        log_level: LogLevel::Quiet,
+                        ..Default::default()
+                    });
+                }
+            }
+        }
+        all
+    }
 
+    #[test]
+    fn the_codec_round_trips_through_manifests_and_specs() {
+        let normalizer = |n: usize| Normalizer::fit(&[vec![0.0; n], vec![1.0; n]]);
+        for opts in configurations() {
+            let manifest = engine::manifest_value(&opts, &normalizer(opts.set.count()));
+            let (decoded, _) = engine::options_from_manifest(&manifest).expect("manifest decodes");
+            assert_eq!(decoded, RunOptions { log_level: LogLevel::Info, ..opts.clone() });
+
+            let decoded = spec_to_options(&normalized_spec(&opts), 1).expect("spec decodes");
+            assert_eq!(decoded, opts);
+        }
+        let defaults = RunOptions::default();
+        let manifest = engine::manifest_value(&defaults, &normalizer(3));
+        let (decoded, _) = engine::options_from_manifest(&manifest).expect("manifest decodes");
+        assert_eq!(decoded, defaults, "fail policy, no retries and no chaos round-trip too");
+    }
+
+    /// Submits `spec` to an in-process manager and returns the finished
+    /// job's `trace.csv` and `front.csv`.
+    fn served_artifacts(tag: &str, spec: &Value) -> (Vec<u8>, Vec<u8>) {
         let root =
-            std::env::temp_dir().join(format!("moela-serve-cmd-eval-cache-{}", std::process::id()));
+            std::env::temp_dir().join(format!("moela-serve-cmd-{tag}-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&root);
         let manager = JobManager::start(
             root.clone(),
@@ -397,7 +308,7 @@ mod tests {
             Arc::new(ServerMetrics::new()),
         )
         .expect("start manager");
-        let record = manager.submit(&spec).expect("submit");
+        let record = manager.submit(spec).expect("submit");
         let deadline = std::time::Instant::now() + Duration::from_secs(300);
         while record.state() != JobState::Done {
             let state = record.state();
@@ -410,6 +321,36 @@ mod tests {
             std::thread::sleep(Duration::from_millis(20));
         }
         manager.drain();
+        let read = |file| std::fs::read(record.dir.join(file)).expect("artifact");
+        let artifacts = (read("trace.csv"), read("front.csv"));
         let _ = std::fs::remove_dir_all(&root);
+        artifacts
+    }
+
+    #[test]
+    fn specs_with_retired_keys_are_accepted_and_run_identically() {
+        let spec = |retired: Option<(&'static str, Value)>| {
+            let mut fields = vec![
+                ("app", Value::Str("BFS".into())),
+                ("objectives", Value::U64(3)),
+                ("algorithm", Value::Str("moos".into())),
+                ("budget", Value::U64(120)),
+                ("population", Value::U64(8)),
+                ("seed", Value::U64(7)),
+            ];
+            fields.extend(retired);
+            Value::object(fields)
+        };
+        let plain = spec(None);
+        let cache = spec(Some(("eval_cache", Value::U64(4096))));
+        let delta_off = spec(Some(("eval_delta", Value::Bool(false))));
+        let expected = spec_to_options(&plain, 1).expect("plain spec");
+        for retired in [&cache, &delta_off] {
+            let opts = spec_to_options(retired, 1).expect("the retired key is accepted");
+            assert_eq!(opts, expected, "the retired key's value is ignored");
+        }
+        let reference = served_artifacts("plain", &plain);
+        assert_eq!(served_artifacts("eval-cache", &cache), reference);
+        assert_eq!(served_artifacts("eval-delta-off", &delta_off), reference);
     }
 }

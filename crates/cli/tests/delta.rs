@@ -1,16 +1,13 @@
-//! Delta-evaluation parity end-to-end: the incremental move fast path
-//! must be invisible in every deterministic artifact.
+//! Delta evaluation end-to-end. Every run takes the incremental move
+//! fast path; its bit-for-bit parity with full evaluation, for every
+//! optimizer and under chaos, is checked in-process by the engine's unit
+//! tests. Here:
 //!
-//! The contract under test is `--eval-delta` (on by default):
-//!
-//! * for every optimizer, `trace.csv` and `front.csv` are byte-identical
-//!   with the fast path on and off, at 1 and 4 threads;
-//! * the same holds under `--chaos` fault injection, where the injector
-//!   sits above the delta-capable problem and consumes ordinals
-//!   identically on both paths;
-//! * kill + resume round-trips `--eval-delta` through the manifest and
-//!   still reproduces the uninterrupted run byte for byte;
-//! * `metrics.json` reports the delta hit/fallback counters per run.
+//! * `metrics.json` reports the delta hit/fallback counters per run;
+//! * kill + resume with the fast path reproduces the uninterrupted run
+//!   byte for byte;
+//! * the retired `--eval-delta` switch is an unknown flag, and manifests
+//!   that still record it (or the older `eval_cache`) resume unchanged.
 
 use std::fs;
 use std::path::{Path, PathBuf};
@@ -32,9 +29,9 @@ fn read(path: &Path) -> Vec<u8> {
     fs::read(path).unwrap_or_else(|e| panic!("cannot read {}: {e}", path.display()))
 }
 
-/// Standard tiny run (the golden-test configuration) with extra flags.
-fn run_algorithm(algorithm: &str, dir: &Path, extra: &[&str]) {
-    let mut args = vec![
+/// Standard tiny run (the golden-test configuration).
+fn run_algorithm(algorithm: &str, dir: &Path) {
+    let args = [
         "run",
         "--app",
         "BFS",
@@ -51,76 +48,12 @@ fn run_algorithm(algorithm: &str, dir: &Path, extra: &[&str]) {
         "--run-dir",
         dir.to_str().expect("utf-8 path"),
     ];
-    args.extend_from_slice(extra);
     let out = moela_dse(&args);
     assert!(
         out.status.success(),
-        "{algorithm} run {extra:?} failed: {}",
+        "{algorithm} run failed: {}",
         String::from_utf8_lossy(&out.stderr)
     );
-}
-
-/// Runs `algorithm` with the fast path off as the baseline, then with it
-/// on at 1 and 4 threads (plus any `chaos` cells), asserting the
-/// deterministic artifacts never move by a byte.
-fn assert_delta_is_invisible(algorithm: &str, chaos: &[&str]) {
-    let baseline = scratch(&format!("{algorithm}-baseline"));
-    let mut off = vec!["--eval-delta", "off", "--threads", "1"];
-    off.extend_from_slice(chaos);
-    run_algorithm(algorithm, &baseline, &off);
-    let reference = (read(&baseline.join("trace.csv")), read(&baseline.join("front.csv")));
-    let _ = fs::remove_dir_all(&baseline);
-
-    let cells: [&[&str]; 2] =
-        [&["--eval-delta", "on", "--threads", "1"], &["--eval-delta", "on", "--threads", "4"]];
-    for (i, cell) in cells.iter().enumerate() {
-        let dir = scratch(&format!("{algorithm}-cell{i}"));
-        let mut args = cell.to_vec();
-        args.extend_from_slice(chaos);
-        run_algorithm(algorithm, &dir, &args);
-        let artifacts = (read(&dir.join("trace.csv")), read(&dir.join("front.csv")));
-        assert_eq!(
-            reference, artifacts,
-            "{algorithm}: artifacts with delta cell {cell:?} differ from the delta-off baseline"
-        );
-        let _ = fs::remove_dir_all(&dir);
-    }
-}
-
-macro_rules! parity_tests {
-    ($($name:ident: $algorithm:literal;)*) => {$(
-        #[test]
-        fn $name() {
-            assert_delta_is_invisible($algorithm, &[]);
-        }
-    )*};
-}
-
-parity_tests! {
-    moela_artifacts_identical_with_delta_on_or_off: "moela";
-    moead_artifacts_identical_with_delta_on_or_off: "moead";
-    moos_artifacts_identical_with_delta_on_or_off: "moos";
-    moo_stage_artifacts_identical_with_delta_on_or_off: "moo-stage";
-    nsga2_artifacts_identical_with_delta_on_or_off: "nsga2";
-    random_artifacts_identical_with_delta_on_or_off: "random";
-}
-
-/// Under chaos the injector wraps the delta-capable problem: the fault
-/// stream consumes ordinals identically whether a neighbor was scored
-/// incrementally or in full, so chaotic artifacts still match.
-#[test]
-fn chaotic_artifacts_identical_with_delta_on_or_off() {
-    let chaos = [
-        "--chaos",
-        "panic=0.03,nan=0.03,arity=0.02",
-        "--chaos-seed",
-        "41",
-        "--fault-policy",
-        "penalize-worst",
-        "--eval-retries",
-        "1",
-    ];
-    assert_delta_is_invisible("moos", &chaos);
 }
 
 /// Pulls the `"delta":{...}` object out of a metrics.json body. The
@@ -138,37 +71,20 @@ fn counter_in(object: &str, name: &str) -> u64 {
 }
 
 /// MOOS descends through neighbor batches, so its runs must actually
-/// exercise the fast path — and `--eval-delta off` must record zero
-/// delta work while the delta-off run reports `enabled:false`.
+/// exercise the fast path.
 #[test]
 fn metrics_report_delta_counters() {
     let dir = scratch("metrics-on");
-    run_algorithm("moos", &dir, &[]);
+    run_algorithm("moos", &dir);
     let metrics = String::from_utf8(read(&dir.join("metrics.json"))).expect("utf-8 metrics");
     let delta = delta_object(&metrics);
-    assert!(delta.contains("\"enabled\":true"), "default runs the fast path: {delta}");
     assert!(counter_in(delta, "hits") > 0, "descents must hit the delta path: {delta}");
-    let _ = fs::remove_dir_all(&dir);
-
-    let dir = scratch("metrics-off");
-    run_algorithm("moos", &dir, &["--eval-delta", "off"]);
-    let metrics = String::from_utf8(read(&dir.join("metrics.json"))).expect("utf-8 metrics");
-    let delta = delta_object(&metrics);
-    assert!(delta.contains("\"enabled\":false"), "--eval-delta off is recorded: {delta}");
-    assert_eq!(counter_in(delta, "hits"), 0, "no fast path, no hits: {delta}");
     let _ = fs::remove_dir_all(&dir);
 }
 
-/// Kill + resume round-trips `--eval-delta` through the manifest, and a
-/// run resumed with the fast path still matches the golden
-/// uninterrupted output byte for byte.
-#[test]
-fn crash_resume_with_delta_is_bit_identical() {
-    let full = scratch("resume-full");
-    run_algorithm("moela", &full, &[]);
-
-    let crashed = scratch("resume-crashed");
-    let crashed_dir = crashed.to_str().expect("utf-8 path");
+/// Runs the golden MOELA configuration into `dir` and aborts it after
+/// its first checkpoint.
+fn crash_after_one_checkpoint(dir: &Path) {
     let args = [
         "run",
         "--app",
@@ -184,15 +100,24 @@ fn crash_resume_with_delta_is_bit_identical() {
         "--seed",
         "7",
         "--run-dir",
-        crashed_dir,
+        dir.to_str().expect("utf-8 path"),
         "--crash-after-checkpoints",
         "1",
     ];
     let out = moela_dse(&args);
     assert!(!out.status.success(), "crash injection must abort the process");
-    let manifest = String::from_utf8(read(&crashed.join("manifest.json"))).expect("utf-8");
-    assert!(manifest.contains("\"eval_delta\":true"), "manifest records the flag: {manifest}");
+}
 
+/// A run resumed with the fast path still matches the golden
+/// uninterrupted output byte for byte.
+#[test]
+fn crash_resume_with_delta_is_bit_identical() {
+    let full = scratch("resume-full");
+    run_algorithm("moela", &full);
+
+    let crashed = scratch("resume-crashed");
+    let crashed_dir = crashed.to_str().expect("utf-8 path");
+    crash_after_one_checkpoint(&crashed);
     let out = moela_dse(&["resume", crashed_dir, "--threads", "4"]);
     assert!(out.status.success(), "resume failed: {}", String::from_utf8_lossy(&out.stderr));
     for file in ["trace.csv", "front.csv"] {
@@ -204,4 +129,45 @@ fn crash_resume_with_delta_is_bit_identical() {
     }
     let _ = fs::remove_dir_all(&full);
     let _ = fs::remove_dir_all(&crashed);
+}
+
+/// Manifests written while `--eval-cache` or `--eval-delta` existed
+/// carry their keys; resume accepts and ignores them, whatever their
+/// value, and finishes byte-identical to an uninterrupted run.
+#[test]
+fn manifests_with_retired_keys_resume_byte_identically() {
+    let full = scratch("retired-full");
+    run_algorithm("moela", &full);
+    for (tag, entry) in [
+        ("eval-cache", "\"eval_cache\":4096,"),
+        ("delta-on", "\"eval_delta\":true,"),
+        ("delta-off", "\"eval_delta\":false,"),
+    ] {
+        let crashed = scratch(&format!("retired-{tag}"));
+        crash_after_one_checkpoint(&crashed);
+        let manifest = crashed.join("manifest.json");
+        let text = String::from_utf8(read(&manifest)).expect("manifest is UTF-8");
+        for retired in ["eval_cache", "eval_delta"] {
+            assert!(!text.contains(retired), "new manifests do not record {retired}: {text}");
+        }
+        assert!(text.contains("\"format\":1,"), "manifest format field moved? {text}");
+        let doctored = text.replace("\"format\":1,", &format!("\"format\":1,{entry}"));
+        fs::write(&manifest, doctored).expect("rewrite manifest");
+
+        let out = moela_dse(&["resume", crashed.to_str().expect("utf-8 path")]);
+        assert!(out.status.success(), "{tag}: {}", String::from_utf8_lossy(&out.stderr));
+        for file in ["trace.csv", "front.csv"] {
+            assert_eq!(read(&full.join(file)), read(&crashed.join(file)), "{tag}: {file} differs");
+        }
+        let _ = fs::remove_dir_all(&crashed);
+    }
+    let _ = fs::remove_dir_all(&full);
+}
+
+#[test]
+fn the_retired_eval_delta_flag_is_an_unknown_flag() {
+    let out = moela_dse(&["run", "--eval-delta", "on"]);
+    assert_eq!(out.status.code(), Some(1));
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(stderr.contains("unknown flag '--eval-delta'"), "{stderr}");
 }
