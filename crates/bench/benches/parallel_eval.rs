@@ -1,5 +1,6 @@
 //! Criterion benchmark for the batch-evaluation engine: one population's
-//! worth of 4×4×4 manycore objective evaluations at 1/2/4/8 workers.
+//! worth of 4×4×4 manycore objective evaluations through the
+//! `GuardedEvaluator` fan-out at 1/2/4/8 workers.
 //!
 //! Bit-identical results are guaranteed at every worker count (verified by
 //! the suite's determinism tests), so this bench isolates pure throughput.
@@ -10,7 +11,7 @@ use criterion::{black_box, criterion_group, criterion_main, Criterion};
 use rand::SeedableRng;
 
 use moela_manycore::{ManycoreProblem, ObjectiveSet, PlatformConfig};
-use moela_moo::{ParallelEvaluator, Problem};
+use moela_moo::{FaultConfig, GuardedEvaluator, Problem};
 use moela_traffic::{Benchmark, Workload};
 
 fn paper_problem() -> ManycoreProblem {
@@ -27,7 +28,7 @@ fn bench_parallel_eval(c: &mut Criterion) {
     let mut group = c.benchmark_group("parallel_eval/manycore_4x4x4_batch48");
     group.sample_size(20);
     for workers in [1usize, 2, 4, 8] {
-        let evaluator = ParallelEvaluator::new(workers);
+        let mut evaluator = GuardedEvaluator::new(workers, FaultConfig::default());
         group.bench_function(&format!("workers_{workers}"), |b| {
             b.iter(|| evaluator.evaluate(black_box(&problem), black_box(&batch)))
         });

@@ -11,11 +11,10 @@
 //! store, so byte-identity guarantees on the deterministic artifacts
 //! are untouched.
 //!
-//! `compare <baseline> <candidate>` loads each side from a run
-//! directory (its `metrics.json`) or a benchmark snapshot
-//! (`BENCH_*.json`), prints per-algorithm deltas, and exits with code
-//! [`REGRESSION_EXIT_CODE`] when the candidate regresses past the
-//! configured thresholds — the CI bench gate.
+//! `compare <baseline> <candidate>` loads each side from a finished run
+//! directory (its `metrics.json`), prints the PHV and throughput deltas,
+//! and exits with code [`REGRESSION_EXIT_CODE`] when the candidate
+//! regresses past the configured thresholds.
 
 use std::path::Path;
 use std::time::Duration;
@@ -344,37 +343,22 @@ pub(crate) fn report(dir: &str, log_level: LogLevel) -> Result<(), CliError> {
     Ok(())
 }
 
-/// One side of a comparison: `(algorithm, metrics.json-shaped value)`
-/// rows loaded from a run directory or a `BENCH_*.json` snapshot.
-fn load_side(path: &str) -> Result<Vec<(String, Value)>, CliError> {
-    let p = Path::new(path);
-    if p.is_dir() {
-        let store = RunStore::open(p)?;
-        if !store.metrics_path().is_file() {
-            return Err(fail(format!(
-                "{} has no metrics.json — the run has not finished (resume it first)",
-                p.display()
-            )));
-        }
-        let metrics = read_json(&store.metrics_path())?;
-        let algorithm = metrics.field("algorithm")?.as_str()?.to_owned();
-        return Ok(vec![(algorithm, metrics)]);
+/// One side of a comparison: the algorithm and `metrics.json` of a
+/// finished run directory.
+fn load_side(path: &str) -> Result<(String, Value), CliError> {
+    let store = RunStore::open(path)?;
+    if !store.metrics_path().is_file() {
+        return Err(fail(format!(
+            "{path} has no metrics.json — the run has not finished (resume it first)"
+        )));
     }
-    let bench = read_json(p)?;
-    let runs = bench.field_opt("runs").ok_or_else(|| {
-        fail(format!(
-            "{} is neither a run directory nor a benchmark snapshot with a \"runs\" map",
-            p.display()
-        ))
-    })?;
-    let Value::Object(entries) = runs else {
-        return Err(fail(format!("{}: \"runs\" must be an object", p.display())));
-    };
-    Ok(entries.clone())
+    let metrics = read_json(&store.metrics_path())?;
+    let algorithm = metrics.field("algorithm")?.as_str()?.to_owned();
+    Ok((algorithm, metrics))
 }
 
 /// Final PHV and evaluation throughput for one `metrics.json`-shaped
-/// value. Either may be absent (e.g. a pre-telemetry snapshot).
+/// value. Either may be absent (e.g. a run without telemetry).
 fn run_stats(metrics: &Value) -> (Option<f64>, Option<f64>) {
     let Some(telemetry) = metrics.field_opt("telemetry") else { return (None, None) };
     let phv = telemetry
@@ -390,70 +374,60 @@ fn pct(delta: f64) -> String {
     format!("{:+.2}%", delta * 100.0)
 }
 
-/// The `moela-dse compare <baseline> <candidate>` body: prints
-/// per-algorithm deltas and fails with [`REGRESSION_EXIT_CODE`] when
-/// the candidate regresses past `thresholds`.
+/// The `moela-dse compare <baseline> <candidate>` body: prints the PHV
+/// and throughput deltas of two runs of one algorithm and fails with
+/// [`REGRESSION_EXIT_CODE`] when the candidate regresses past
+/// `thresholds`.
 pub(crate) fn compare_runs(
     baseline: &str,
     candidate: &str,
     thresholds: &CompareThresholds,
 ) -> Result<(), CliError> {
-    let base = load_side(baseline)?;
-    let cand = load_side(candidate)?;
+    let (algorithm, base_metrics) = load_side(baseline)?;
+    let (cand_algorithm, cand_metrics) = load_side(candidate)?;
+    if cand_algorithm != algorithm {
+        return Err(fail(format!(
+            "the baseline ran {algorithm} but the candidate ran {cand_algorithm}: \
+             compare needs two runs of the same algorithm"
+        )));
+    }
+    let (base_phv, base_rate) = run_stats(&base_metrics);
+    let (cand_phv, cand_rate) = run_stats(&cand_metrics);
+    let relative = |b: Option<f64>, c: Option<f64>| match (b, c) {
+        (Some(b), Some(c)) if b > 0.0 => Some((c - b) / b),
+        _ => None,
+    };
+    let phv_delta = relative(base_phv, cand_phv);
+    let rate_delta = relative(base_rate, cand_rate);
     println!("comparing {candidate} against baseline {baseline}");
     println!(
         "{:<12} {:>12} {:>12} {:>9}   {:>12} {:>12} {:>9}",
         "algorithm", "base PHV", "cand PHV", "ΔPHV", "base ev/s", "cand ev/s", "Δrate"
     );
-    let mut compared = 0usize;
+    println!(
+        "{:<12} {:>12} {:>12} {:>9}   {:>12} {:>12} {:>9}",
+        algorithm,
+        base_phv.map_or("-".into(), |v| format!("{v:.4}")),
+        cand_phv.map_or("-".into(), |v| format!("{v:.4}")),
+        phv_delta.map_or("-".into(), pct),
+        base_rate.map_or("-".into(), |v| format!("{v:.1}")),
+        cand_rate.map_or("-".into(), |v| format!("{v:.1}")),
+        rate_delta.map_or("-".into(), pct),
+    );
     let mut regressions: Vec<String> = Vec::new();
-    for (algorithm, base_metrics) in &base {
-        let Some((_, cand_metrics)) = cand.iter().find(|(a, _)| a == algorithm) else {
-            println!("{algorithm:<12} missing from candidate — skipped");
-            continue;
-        };
-        let (base_phv, base_rate) = run_stats(base_metrics);
-        let (cand_phv, cand_rate) = run_stats(cand_metrics);
-        let phv_delta = match (base_phv, cand_phv) {
-            (Some(b), Some(c)) if b > 0.0 => Some((c - b) / b),
-            _ => None,
-        };
-        let rate_delta = match (base_rate, cand_rate) {
-            (Some(b), Some(c)) if b > 0.0 => Some((c - b) / b),
-            _ => None,
-        };
-        println!(
-            "{:<12} {:>12} {:>12} {:>9}   {:>12} {:>12} {:>9}",
-            algorithm,
-            base_phv.map_or("-".into(), |v| format!("{v:.4}")),
-            cand_phv.map_or("-".into(), |v| format!("{v:.4}")),
-            phv_delta.map_or("-".into(), pct),
-            base_rate.map_or("-".into(), |v| format!("{v:.1}")),
-            cand_rate.map_or("-".into(), |v| format!("{v:.1}")),
-            rate_delta.map_or("-".into(), pct),
-        );
-        compared += 1;
-        if let Some(d) = phv_delta {
-            if d < -thresholds.max_phv_regression {
-                regressions.push(format!(
-                    "{algorithm}: PHV regressed {} (threshold {})",
-                    pct(d),
-                    pct(-thresholds.max_phv_regression)
-                ));
-            }
-        }
-        if let Some(d) = rate_delta {
-            if d < -thresholds.max_rate_regression {
-                regressions.push(format!(
-                    "{algorithm}: throughput regressed {} (threshold {})",
-                    pct(d),
-                    pct(-thresholds.max_rate_regression)
-                ));
-            }
-        }
+    if let Some(d) = phv_delta.filter(|&d| d < -thresholds.max_phv_regression) {
+        regressions.push(format!(
+            "{algorithm}: PHV regressed {} (threshold {})",
+            pct(d),
+            pct(-thresholds.max_phv_regression)
+        ));
     }
-    if compared == 0 {
-        return Err(fail("no algorithm appears in both the baseline and the candidate"));
+    if let Some(d) = rate_delta.filter(|&d| d < -thresholds.max_rate_regression) {
+        regressions.push(format!(
+            "{algorithm}: throughput regressed {} (threshold {})",
+            pct(d),
+            pct(-thresholds.max_rate_regression)
+        ));
     }
     if !regressions.is_empty() {
         return Err(CliError {
@@ -499,40 +473,30 @@ mod tests {
     fn compare_detects_regressions_with_exit_code_3() {
         let dir = std::env::temp_dir().join(format!("moela-compare-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
-        std::fs::create_dir_all(&dir).unwrap();
-        let write = |name: &str, runs: Value| {
-            let doc = Value::object(vec![("runs", runs)]);
-            std::fs::write(dir.join(name), moela_persist::encode::to_string(&doc)).unwrap();
+        // A finished run directory holds a manifest and its metrics.json.
+        let run_dir = |name: &str, metrics: Value| {
+            let run = dir.join(name);
+            std::fs::create_dir_all(&run).unwrap();
+            std::fs::write(run.join("manifest.json"), "{}").unwrap();
+            std::fs::write(run.join("metrics.json"), moela_persist::encode::to_string(&metrics))
+                .unwrap();
+            run.to_string_lossy().into_owned()
         };
-        write("base.json", Value::Object(vec![("moela".into(), metrics(0.80, 100.0))]));
-        write("same.json", Value::Object(vec![("moela".into(), metrics(0.80, 100.0))]));
-        write("slow.json", Value::Object(vec![("moela".into(), metrics(0.80, 10.0))]));
-        write("worse.json", Value::Object(vec![("moela".into(), metrics(0.50, 100.0))]));
-        let base = dir.join("base.json");
+        let run = run_dir("run", metrics(0.80, 100.0));
+        // Doctored copies of the run serve as baselines it regresses against.
+        let faster = run_dir("faster", metrics(0.80, 1000.0));
+        let better = run_dir("better", metrics(0.95, 100.0));
         let thresholds = CompareThresholds::default();
-        let path = |n: &str| dir.join(n).to_string_lossy().into_owned();
-        assert!(compare_runs(&path("base.json"), &path("same.json"), &thresholds).is_ok());
-        let err = compare_runs(&path("base.json"), &path("slow.json"), &thresholds)
-            .expect_err("rate regression");
+        assert!(compare_runs(&run, &run, &thresholds).is_ok());
+        let err = compare_runs(&faster, &run, &thresholds).expect_err("rate regression");
         assert_eq!(err.code, REGRESSION_EXIT_CODE);
         assert!(err.message.contains("throughput"), "{}", err.message);
-        let err = compare_runs(&path("base.json"), &path("worse.json"), &thresholds)
-            .expect_err("phv regression");
+        let err = compare_runs(&better, &run, &thresholds).expect_err("phv regression");
         assert_eq!(err.code, REGRESSION_EXIT_CODE);
         assert!(err.message.contains("PHV"), "{}", err.message);
-        let _ = base;
-        std::fs::remove_dir_all(&dir).unwrap();
-    }
-
-    #[test]
-    fn a_bench_file_without_runs_is_rejected() {
-        let dir = std::env::temp_dir().join(format!("moela-compare-bad-{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("not-a-bench.json");
-        std::fs::write(&path, "{\"date\":\"2026-08-08\"}").unwrap();
-        let err = load_side(&path.to_string_lossy()).expect_err("no runs map");
-        assert!(err.message.contains("runs"), "{}", err.message);
+        let metrics_file = format!("{run}/metrics.json");
+        let err = compare_runs(&metrics_file, &run, &thresholds).expect_err("not a run dir");
+        assert_ne!(err.code, REGRESSION_EXIT_CODE);
         std::fs::remove_dir_all(&dir).unwrap();
     }
 }

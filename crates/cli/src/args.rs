@@ -539,12 +539,12 @@ pub enum Command {
         /// Verbosity of human-facing status output.
         log_level: LogLevel,
     },
-    /// Compare two finished runs (or benchmark snapshots) and fail on
-    /// regression — the CI bench gate.
+    /// Compare two finished runs of one algorithm and fail on a PHV or
+    /// throughput regression.
     CompareRuns {
-        /// Baseline run directory or `BENCH_*.json` snapshot.
+        /// Baseline run directory.
         baseline: String,
-        /// Candidate run directory or `BENCH_*.json` snapshot.
+        /// Candidate run directory.
         candidate: String,
         /// Maximum tolerated relative final-PHV drop.
         max_phv_regression: f64,
@@ -586,7 +586,7 @@ pub fn parse(args: &[String]) -> Result<Command, ArgsError> {
         "run" => Ok(Command::Run(parse_run_options(rest)?)),
         // Two forms share the name: `compare [run flags]` re-runs every
         // algorithm at one budget, while `compare <A> <B>` diffs two
-        // existing runs/snapshots. A leading positional selects the
+        // finished run directories. A leading positional selects the
         // second form.
         "compare" if rest.first().is_some_and(|a| !a.starts_with("--")) => parse_compare_runs(rest),
         "compare" => Ok(Command::Compare(parse_run_options(rest)?)),
@@ -709,8 +709,8 @@ fn parse_compare_runs(args: &[String]) -> Result<Command, ArgsError> {
             max_rate_regression,
         }),
         _ => Err(ArgsError::syntax(
-            "compare needs two paths (moela-dse compare <BASELINE> <CANDIDATE>, each a run \
-             directory or a BENCH_*.json snapshot)",
+            "compare needs two paths (moela-dse compare <BASELINE> <CANDIDATE>, each a \
+             finished run directory)",
         )),
     }
 }
@@ -848,8 +848,8 @@ SUBCOMMANDS:
     report     analyze a finished run directory (report.json + Perfetto
                trace) and print convergence/phase telemetry
     compare    run every optimizer at the same budget and compare PHV;
-               or, with two paths, diff two finished runs/snapshots and
-               fail on regression
+               or, with two paths, diff two finished runs and fail on
+               regression
     info       describe an application's synthesized workload
     simulate   run the flit-level NoC simulator on a random design
     version    print the build version
@@ -924,9 +924,9 @@ REPORT:
 COMPARE (regression gate):
     moela-dse compare <BASELINE> <CANDIDATE>
                       [--max-phv-regression F] [--max-rate-regression F]
-    each path is a finished run directory or a BENCH_*.json snapshot;
-    prints per-algorithm PHV and throughput deltas and exits 3 when the
-    candidate regresses past a threshold (defaults: PHV 0.01, rate 0.2)
+    each path is a finished run directory of the same algorithm; prints
+    the PHV and throughput deltas and exits 3 when the candidate
+    regresses past a threshold (defaults: PHV 0.01, rate 0.2)
 
 SIMULATE FLAGS:
     --load <F>                          injection multiplier [1.0]
@@ -1082,7 +1082,7 @@ mod tests {
         assert_eq!(max_rate_regression, 0.2);
 
         let cmd = parse(&argv(
-            "compare BENCH_a.json BENCH_b.json --max-phv-regression 0.05 \
+            "compare out/a out/b --max-phv-regression 0.05 \
              --max-rate-regression 0.5",
         ))
         .expect("ok");

@@ -312,18 +312,24 @@ fn report_refuses_an_unfinished_run() {
     let _ = fs::remove_dir_all(&dir);
 }
 
-/// Rewrites a run's metrics into a one-entry benchmark snapshot, with
-/// its throughput inflated so any real run regresses against it.
-fn doctored_bench(metrics_path: &Path, out_path: &Path) {
-    let mut metrics = read_json(metrics_path);
-    let algorithm = get(&metrics, &["algorithm"]).as_str().unwrap().to_owned();
+/// Copies a finished run directory's files (its checkpoints are not
+/// needed) with the copy's throughput inflated, so the original run
+/// regresses against it.
+fn doctored_copy(run: &Path, copy: &Path) {
+    fs::create_dir_all(copy).expect("create the copy");
+    for entry in fs::read_dir(run).expect("read the run directory") {
+        let path = entry.expect("directory entry").path();
+        if path.is_file() {
+            fs::copy(&path, copy.join(path.file_name().unwrap())).expect("copy a run file");
+        }
+    }
+    let mut metrics = read_json(&copy.join("metrics.json"));
     let Value::Object(fields) = &mut metrics else { panic!("metrics.json is an object") };
     let telemetry = &mut fields.iter_mut().find(|(n, _)| n == "telemetry").expect("telemetry").1;
     let Value::Object(telemetry) = telemetry else { panic!("telemetry is an object") };
     telemetry.iter_mut().find(|(n, _)| n == "evals_per_sec").expect("evals_per_sec").1 =
         Value::F64(9.9e9);
-    let bench = Value::object(vec![("runs", Value::Object(vec![(algorithm, metrics)]))]);
-    fs::write(out_path, encode::to_string(&bench)).expect("write bench");
+    fs::write(copy.join("metrics.json"), encode::to_string(&metrics)).expect("write metrics");
 }
 
 /// The regression gate: comparing a run against itself passes; against
@@ -343,9 +349,9 @@ fn compare_passes_self_and_gates_a_doctored_regression() {
     let stdout = String::from_utf8_lossy(&out.stdout);
     assert!(stdout.contains("no regression"), "no verdict line: {stdout}");
 
-    let bench = dir.join("doctored-bench.json");
-    doctored_bench(&dir.join("metrics.json"), &bench);
-    let out = moela_dse(&["compare", bench.to_str().unwrap(), dir_str]);
+    let doctored = scratch("compare-doctored");
+    doctored_copy(&dir, &doctored);
+    let out = moela_dse(&["compare", doctored.to_str().unwrap(), dir_str]);
     assert_eq!(
         out.status.code(),
         Some(3),
@@ -355,4 +361,5 @@ fn compare_passes_self_and_gates_a_doctored_regression() {
     let stderr = String::from_utf8_lossy(&out.stderr);
     assert!(stderr.contains("regress"), "no regression message: {stderr}");
     let _ = fs::remove_dir_all(&dir);
+    let _ = fs::remove_dir_all(&doctored);
 }

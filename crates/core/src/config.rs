@@ -67,7 +67,7 @@ pub struct MoelaConfig {
     pub time_budget: Option<Duration>,
     /// Worker threads for batch objective evaluation (`0` = auto-detect
     /// from the host). Results are bit-identical for every value — see
-    /// [`moela_moo::parallel::ParallelEvaluator`].
+    /// [`moela_moo::fault::GuardedEvaluator`], the one evaluation fan-out.
     pub threads: usize,
     /// How evaluation faults (panics, non-finite or malformed objective
     /// vectors) are contained — see [`moela_moo::fault::GuardedEvaluator`].

@@ -84,7 +84,7 @@ where
     ///
     /// Candidate designs are always *generated* sequentially from `rng`
     /// and *evaluated* in batches through a
-    /// [`ParallelEvaluator`](moela_moo::ParallelEvaluator) sized by
+    /// [`GuardedEvaluator`](moela_moo::GuardedEvaluator) sized by
     /// [`MoelaConfig::threads`], so the outcome is bit-identical for every
     /// thread count.
     pub fn run(&self, rng: &mut impl RngCore) -> MoelaOutcome<P::Solution> {

@@ -5,9 +5,9 @@
 //! they panic, return NaN/Inf, or produce malformed vectors. This module
 //! turns those failures into data instead of process aborts:
 //!
-//! * [`GuardedEvaluator`] wraps the workspace's
-//!   [`ParallelEvaluator`] with per-candidate
-//!   panic isolation and result validation, classifying every failure as a
+//! * [`GuardedEvaluator`] is the workspace's one batch evaluator: it fans
+//!   a batch out across scoped worker threads with per-candidate panic
+//!   isolation and result validation, classifying every failure as a
 //!   structured [`EvalFault`];
 //! * [`FaultPolicy`] decides what happens next — abort the run with a
 //!   clean error ([`FaultPolicy::Fail`]), quarantine the candidate behind a
@@ -18,12 +18,14 @@
 //!   round-trips through checkpoints so a resumed run reports the same
 //!   health numbers as an uninterrupted one.
 //!
-//! The determinism contract of the rest of the workspace is preserved:
-//! with the same seed and fault stream, results are bit-identical at any
-//! thread count, because fault decisions key off per-candidate evaluation
-//! *ordinals* reserved before the batch fans out (see
-//! [`Problem::reserve_ordinals`]) and retries run sequentially in batch
-//! order.
+//! Evaluation is pure (no RNG, no shared mutable state), so optimizers
+//! generate a batch sequentially on their RNG and only the evaluations
+//! fan out: the batch is split into contiguous chunks across scoped
+//! workers and reassembled in input order. With the same seed and fault
+//! stream, results are therefore bit-identical at any thread count —
+//! fault decisions key off per-candidate evaluation *ordinals* reserved
+//! before the batch fans out (see [`Problem::reserve_ordinals`]) and
+//! retries run sequentially in batch order.
 
 use std::any::Any;
 use std::cell::Cell;
@@ -33,7 +35,6 @@ use std::sync::Once;
 use moela_obs::Obs;
 use moela_persist::{PersistError, Restore, Snapshot, Value};
 
-use crate::parallel::ParallelEvaluator;
 use crate::problem::Problem;
 
 /// The finite worst-case objective value used to quarantine faulted
@@ -331,16 +332,32 @@ impl GuardedBatch {
     }
 }
 
-/// A fault-containing evaluation front-end: the
-/// [`ParallelEvaluator`] plus per-candidate
-/// panic isolation, validation, retries, and policy application.
+/// The one batch evaluator every optimizer uses: a scoped-thread fan-out
+/// plus per-candidate panic isolation, validation, retries, and policy
+/// application.
 ///
-/// On the happy path (no faults) it returns exactly what the parallel
-/// evaluator would — same values, same order, same cost — so fault
-/// containment is zero-cost for byte-identical traces.
+/// On the happy path (no faults) it returns exactly what sequential
+/// [`Problem::evaluate`] would — same values, same order, same cost — at
+/// every thread count, so fault containment is free for byte-identical
+/// traces.
+///
+/// # Example
+///
+/// ```
+/// use moela_moo::{FaultConfig, GuardedEvaluator, Problem, problems::Zdt};
+/// use rand::SeedableRng;
+///
+/// let problem = Zdt::zdt1(6);
+/// let mut rng = rand::rngs::StdRng::seed_from_u64(1);
+/// let batch: Vec<_> = (0..32).map(|_| problem.random_solution(&mut rng)).collect();
+/// let guarded = GuardedEvaluator::new(4, FaultConfig::default()).evaluate(&problem, &batch);
+/// let sequential: Vec<_> = batch.iter().map(|s| Some(problem.evaluate(s))).collect();
+/// assert_eq!(guarded.objectives, sequential);
+/// ```
 #[derive(Clone, Debug)]
 pub struct GuardedEvaluator {
-    evaluator: ParallelEvaluator,
+    /// Resolved worker count (never 0).
+    threads: usize,
     config: FaultConfig,
     log: FaultLog,
     error: Option<EvalFault>,
@@ -348,27 +365,20 @@ pub struct GuardedEvaluator {
 }
 
 impl GuardedEvaluator {
-    /// A guard with `threads` evaluation workers (0 = auto) and the given
-    /// fault policy.
+    /// A guard with `threads` evaluation workers and the given fault
+    /// policy. `threads = 0` means "auto": the host's available
+    /// parallelism (1 when it cannot be determined).
     pub fn new(threads: usize, config: FaultConfig) -> Self {
-        Self {
-            evaluator: ParallelEvaluator::new(threads),
-            config,
-            log: FaultLog::default(),
-            error: None,
-            obs: Obs::disabled(),
-        }
+        Self::from_parts(threads, config, FaultLog::default())
     }
 
     /// Rebuilds a guard from a checkpointed fault log.
     pub fn from_parts(threads: usize, config: FaultConfig, log: FaultLog) -> Self {
-        Self {
-            evaluator: ParallelEvaluator::new(threads),
-            config,
-            log,
-            error: None,
-            obs: Obs::disabled(),
-        }
+        let threads = match threads {
+            0 => std::thread::available_parallelism().map_or(1, usize::from),
+            n => n,
+        };
+        Self { threads, config, log, error: None, obs: Obs::disabled() }
     }
 
     /// Installs the observability handle every batch evaluation reports
@@ -444,8 +454,7 @@ impl GuardedEvaluator {
         let faults_before = self.log.faults();
         let m = problem.objective_count();
         let base = problem.reserve_ordinals(solutions.len() as u64);
-        let mut results =
-            self.evaluator.try_evaluate_with_base(problem, neighbor_base, solutions, base, m);
+        let mut results = fan_out(self.threads, problem, neighbor_base, solutions, base, m);
         let mut attempts = solutions.len() as u64;
 
         // Retries run sequentially in batch order: deterministic at any
@@ -518,91 +527,75 @@ impl GuardedEvaluator {
     }
 }
 
-impl ParallelEvaluator {
-    /// Evaluates `solutions` with per-candidate panic isolation and
-    /// result validation, returning one `Result` per candidate in input
-    /// order. Candidate `i` is evaluated as ordinal `base_ordinal + i`
-    /// regardless of how the batch is chunked across workers, so results
-    /// are bit-identical at any thread count.
-    pub fn try_evaluate<P>(
-        &self,
-        problem: &P,
-        solutions: &[P::Solution],
-        base_ordinal: u64,
-        m: usize,
-    ) -> Vec<Result<Vec<f64>, EvalFault>>
-    where
-        P: Problem + Sync,
-        P::Solution: Sync,
-    {
-        self.try_evaluate_with_base(problem, None, solutions, base_ordinal, m)
+/// Evaluates `solutions` with per-candidate panic isolation and result
+/// validation, split into contiguous chunks across up to `threads` scoped
+/// workers, and returns one `Result` per candidate in input order.
+/// Candidate `i` is evaluated as ordinal `base_ordinal + i` however the
+/// batch is chunked, so results are bit-identical at any thread count.
+/// With `neighbor_base` set, every candidate is one move away from it and
+/// evaluation routes through [`Problem::evaluate_neighbor_ordinal`].
+fn fan_out<P>(
+    threads: usize,
+    problem: &P,
+    neighbor_base: Option<&P::Solution>,
+    solutions: &[P::Solution],
+    base_ordinal: u64,
+    m: usize,
+) -> Vec<Result<Vec<f64>, EvalFault>>
+where
+    P: Problem + Sync,
+    P::Solution: Sync,
+{
+    let eval_chunk = |chunk: &[P::Solution], offset: usize| -> Vec<Result<Vec<f64>, EvalFault>> {
+        chunk
+            .iter()
+            .enumerate()
+            .map(|(k, s)| {
+                let index = offset + k;
+                guarded_eval_one(problem, neighbor_base, s, base_ordinal + index as u64, m, index)
+            })
+            .collect()
+    };
+    let workers = threads.min(solutions.len());
+    if workers <= 1 {
+        return eval_chunk(solutions, 0);
     }
-
-    /// [`try_evaluate`](Self::try_evaluate), optionally told that every
-    /// candidate is one neighbor move away from `neighbor_base` — in
-    /// which case evaluation routes through
-    /// [`Problem::evaluate_neighbor_ordinal`] (bit-identical by the
-    /// delta contract, potentially much cheaper).
-    pub fn try_evaluate_with_base<P>(
-        &self,
-        problem: &P,
-        neighbor_base: Option<&P::Solution>,
-        solutions: &[P::Solution],
-        base_ordinal: u64,
-        m: usize,
-    ) -> Vec<Result<Vec<f64>, EvalFault>>
-    where
-        P: Problem + Sync,
-        P::Solution: Sync,
-    {
-        let workers = self.threads().min(solutions.len());
-        let eval_chunk =
-            |chunk: &[P::Solution], offset: usize| -> Vec<Result<Vec<f64>, EvalFault>> {
-                chunk
-                    .iter()
-                    .enumerate()
-                    .map(|(k, s)| {
-                        let index = offset + k;
-                        guarded_eval_one(
-                            problem,
-                            neighbor_base,
-                            s,
-                            base_ordinal + index as u64,
-                            m,
-                            index,
-                        )
-                    })
-                    .collect()
-            };
-        if workers <= 1 {
-            return eval_chunk(solutions, 0);
-        }
-        let chunk_len = solutions.len().div_ceil(workers);
-        let mut results: Vec<Vec<Result<Vec<f64>, EvalFault>>> = Vec::with_capacity(workers);
-        std::thread::scope(|scope| {
-            let handles: Vec<_> = solutions
-                .chunks(chunk_len)
-                .enumerate()
-                .map(|(c, chunk)| scope.spawn(move || eval_chunk(chunk, c * chunk_len)))
-                .collect();
-            for handle in handles {
-                match handle.join() {
-                    Ok(chunk) => results.push(chunk),
-                    // The chunk closure contains every per-item panic, so a
-                    // join error means the *harness* itself failed.
-                    Err(payload) => std::panic::resume_unwind(payload),
-                }
-            }
-        });
-        results.into_iter().flatten().collect()
-    }
+    let chunk_len = solutions.len().div_ceil(workers);
+    std::thread::scope(|scope| {
+        let handles: Vec<_> = solutions
+            .chunks(chunk_len)
+            .enumerate()
+            .map(|(c, chunk)| scope.spawn(move || eval_chunk(chunk, c * chunk_len)))
+            .collect();
+        // The chunk closure contains every per-item panic, so a join error
+        // means the harness itself failed.
+        handles
+            .into_iter()
+            .flat_map(|h| h.join().unwrap_or_else(|payload| std::panic::resume_unwind(payload)))
+            .collect()
+    })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::problems::Zdt;
+    use crate::counter::{Counted, EvalCounter};
+    use crate::problems::{Dtlz, Zdt};
     use rand::SeedableRng;
+
+    fn batch<P: Problem>(problem: &P, n: usize, seed: u64) -> Vec<P::Solution> {
+        let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
+        (0..n).map(|_| problem.random_solution(&mut rng)).collect()
+    }
+
+    /// The objectives of a batch in which no candidate faulted.
+    fn clean(batch: GuardedBatch) -> Vec<Vec<f64>> {
+        batch.objectives.into_iter().map(|o| o.expect("clean")).collect()
+    }
+
+    fn sequential<P: Problem>(problem: &P, solutions: &[P::Solution]) -> Vec<Vec<f64>> {
+        solutions.iter().map(|s| problem.evaluate(s)).collect()
+    }
 
     /// Panics on negative leads, NaNs on leads in (0, 0.1), wrong arity on
     /// leads in (0.1, 0.2).
@@ -655,8 +648,7 @@ mod tests {
     #[test]
     fn faults_are_classified_per_candidate_at_any_thread_count() {
         for threads in [1, 4] {
-            let evaluator = ParallelEvaluator::new(threads);
-            let out = evaluator.try_evaluate(&Moody, &moody_batch(), 0, 2);
+            let out = fan_out(threads, &Moody, None, &moody_batch(), 0, 2);
             assert!(out[0].is_ok() && out[4].is_ok(), "threads {threads}");
             assert_eq!(out[1].as_ref().unwrap_err().kind, FaultKind::Panic);
             assert_eq!(out[2].as_ref().unwrap_err().kind, FaultKind::NonFinite);
@@ -728,18 +720,52 @@ mod tests {
     }
 
     #[test]
-    fn happy_path_matches_the_plain_evaluator_exactly() {
+    fn happy_path_matches_sequential_evaluation_exactly() {
         let problem = Zdt::zdt1(6);
-        let mut rng = rand::rngs::StdRng::seed_from_u64(3);
-        let batch: Vec<_> = (0..17).map(|_| problem.random_solution(&mut rng)).collect();
-        let plain = ParallelEvaluator::new(4).evaluate(&problem, &batch);
+        let solutions = batch(&problem, 17, 3);
         let mut guard = GuardedEvaluator::new(4, FaultConfig::default());
-        let guarded = guard.evaluate(&problem, &batch);
-        assert_eq!(guarded.attempts, batch.len() as u64);
-        let values: Vec<Vec<f64>> =
-            guarded.objectives.into_iter().map(|o| o.expect("clean")).collect();
-        assert_eq!(values, plain);
+        let guarded = guard.evaluate(&problem, &solutions);
+        assert_eq!(guarded.attempts, solutions.len() as u64);
+        assert_eq!(clean(guarded), sequential(&problem, &solutions));
         assert!(guard.log().is_clean());
+    }
+
+    #[test]
+    fn zero_threads_resolves_to_available_parallelism() {
+        let config = FaultConfig::default();
+        assert!(GuardedEvaluator::new(0, config).threads >= 1);
+        assert_eq!(GuardedEvaluator::new(3, config).threads, 3);
+    }
+
+    #[test]
+    fn matches_sequential_results_for_every_worker_count() {
+        let problem = Zdt::zdt3(7);
+        let solutions = batch(&problem, 23, 11);
+        let reference = sequential(&problem, &solutions);
+        for threads in [1, 2, 3, 4, 8, 64] {
+            let mut guard = GuardedEvaluator::new(threads, FaultConfig::default());
+            assert_eq!(clean(guard.evaluate(&problem, &solutions)), reference, "threads {threads}");
+        }
+    }
+
+    #[test]
+    fn handles_empty_and_singleton_batches() {
+        let problem = Dtlz::dtlz2(3, 7);
+        let mut guard = GuardedEvaluator::new(4, FaultConfig::default());
+        let empty = guard.evaluate(&problem, &[]);
+        assert!(empty.objectives.is_empty());
+        assert_eq!(empty.attempts, 0);
+        let one = batch(&problem, 1, 5);
+        assert_eq!(clean(guard.evaluate(&problem, &one)), sequential(&problem, &one));
+    }
+
+    #[test]
+    fn counted_problems_tick_once_per_solution() {
+        let counter = EvalCounter::new();
+        let problem = Counted::new(Zdt::zdt1(5), counter.clone());
+        let solutions = batch(&problem, 17, 3);
+        GuardedEvaluator::new(4, FaultConfig::default()).evaluate(&problem, &solutions);
+        assert_eq!(counter.count(), 17);
     }
 
     #[test]

@@ -21,15 +21,13 @@
 //!   ([`local_search::greedy_descent`]);
 //! * objective normalization ([`normalize::Normalizer`]) and a bounded
 //!   [`archive::ParetoArchive`];
-//! * deterministic parallel batch evaluation
-//!   ([`parallel::ParallelEvaluator`]) — optimizers generate candidates
-//!   sequentially, then evaluate whole batches across scoped worker
-//!   threads with bit-identical results at any thread count;
-//! * fault containment: [`fault::GuardedEvaluator`] turns panicking,
-//!   NaN-producing or malformed evaluations into structured
-//!   [`fault::EvalFault`]s handled by a uniform [`fault::FaultPolicy`],
-//!   and [`chaos::ChaosProblem`] injects such faults deterministically
-//!   for testing;
+//! * one batch evaluator, [`fault::GuardedEvaluator`]: optimizers
+//!   generate candidates sequentially, then evaluate whole batches across
+//!   scoped worker threads with bit-identical results at any thread
+//!   count. It turns panicking, NaN-producing or malformed evaluations
+//!   into structured [`fault::EvalFault`]s handled by a uniform
+//!   [`fault::FaultPolicy`], and [`chaos::ChaosProblem`] injects such
+//!   faults deterministically for testing;
 //! * synthetic benchmark problems with known Pareto fronts in [`problems`]
 //!   (ZDT, DTLZ, and a combinatorial multi-objective knapsack), used to
 //!   validate every optimizer in the workspace;
@@ -61,7 +59,6 @@ pub mod hypervolume;
 pub mod local_search;
 pub mod metrics;
 pub mod normalize;
-pub mod parallel;
 pub mod pareto;
 pub mod population;
 pub mod problem;
@@ -77,5 +74,4 @@ pub use fault::{
     is_penalty, is_quarantined, penalty_objectives, EvalFault, FaultConfig, FaultKind, FaultLog,
     FaultPolicy, GuardedBatch, GuardedEvaluator, PENALTY,
 };
-pub use parallel::ParallelEvaluator;
 pub use problem::Problem;

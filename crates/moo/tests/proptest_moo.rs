@@ -8,8 +8,7 @@ use moela_moo::problems::{Dtlz, Zdt};
 use moela_moo::scalarize::{ReferencePoint, Scalarizer};
 use moela_moo::weights::{neighborhoods, uniform_weights};
 use moela_moo::{
-    is_quarantined, ChaosProblem, ChaosSpec, FaultConfig, FaultPolicy, GuardedEvaluator,
-    ParallelEvaluator, Problem,
+    is_quarantined, ChaosProblem, ChaosSpec, FaultConfig, FaultPolicy, GuardedEvaluator, Problem,
 };
 use proptest::prelude::*;
 use rand::{Rng, SeedableRng};
@@ -34,7 +33,7 @@ fn corrupt(points: &mut [Vec<f64>], seed: u64) -> Vec<usize> {
     dirty
 }
 
-/// `evaluate_batch` (at any worker count) must agree bit-for-bit with
+/// `GuardedEvaluator` (at any worker count) must agree bit-for-bit with
 /// per-solution `evaluate` — the contract every optimizer's determinism
 /// rests on.
 fn assert_batch_parity<P>(problem: &P, count: usize, threads: usize, seed: u64)
@@ -45,10 +44,12 @@ where
     let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
     let solutions: Vec<P::Solution> =
         (0..count).map(|_| problem.random_solution(&mut rng)).collect();
-    let sequential: Vec<Vec<f64>> = solutions.iter().map(|s| problem.evaluate(s)).collect();
-    assert_eq!(problem.evaluate_batch(&solutions), sequential);
-    let evaluator = ParallelEvaluator::new(threads);
-    assert_eq!(evaluator.evaluate(problem, &solutions), sequential);
+    let sequential: Vec<Option<Vec<f64>>> =
+        solutions.iter().map(|s| Some(problem.evaluate(s))).collect();
+    let mut guard = GuardedEvaluator::new(threads, FaultConfig::default());
+    let batch = guard.evaluate(problem, &solutions);
+    assert_eq!(batch.objectives, sequential);
+    assert_eq!(batch.attempts, count as u64);
 }
 
 fn objective_vectors(m: usize, max_len: usize) -> impl Strategy<Value = Vec<Vec<f64>>> {

@@ -198,6 +198,10 @@ pub struct JobRecord {
     /// Step-boundary heartbeat the watchdog reads.
     pub heartbeat: Heartbeat,
     cell: Mutex<JobCell>,
+    /// Held by [`persist`](Self::persist) from reading the state to
+    /// renaming `job.json` into place, so a slower writer can never land
+    /// an older state over a newer one.
+    write: Mutex<()>,
 }
 
 impl JobRecord {
@@ -228,6 +232,7 @@ impl JobRecord {
                 cancel: CancelToken::new(),
                 history: Vec::new(),
             }),
+            write: Mutex::new(()),
         }
     }
 
@@ -444,10 +449,12 @@ impl JobRecord {
         self.restore(attempts, history);
     }
 
-    /// Writes `job.json` into the run directory. I/O failures are
-    /// returned as text: losing a state write must fail the transition
-    /// loudly, never crash the server.
+    /// Writes `job.json` into the run directory. Writes of one record are
+    /// serialized, so the last one to finish carries the newest state.
+    /// I/O failures are returned as text: losing a state write must fail
+    /// the transition loudly, never crash the server.
     pub fn persist(&self) -> Result<(), String> {
+        let _writer = lock(&self.write);
         let store = RunStore::create(&self.dir)
             .map_err(|e| format!("cannot open run dir for {}: {e}", self.id))?;
         store.write_job(&self.manifest()).map_err(|e| format!("cannot persist {}: {e}", self.id))
@@ -601,5 +608,52 @@ mod tests {
             JobState::Queued,
         );
         assert_eq!(record.timeout, None);
+    }
+
+    #[test]
+    fn concurrent_persists_leave_the_final_state_on_disk() {
+        use std::sync::atomic::{AtomicUsize, Ordering};
+        use std::sync::Barrier;
+
+        let dir = std::env::temp_dir().join(format!("moela-job-persist-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let record = JobRecord::new(
+            "job-000008".into(),
+            8,
+            dir.clone(),
+            Value::object(vec![]),
+            JobState::Queued,
+        );
+        let store = RunStore::create(&dir).expect("run dir");
+        let states =
+            [JobState::Running, JobState::Stalled, JobState::Interrupted, JobState::Queued];
+        let barrier = Barrier::new(states.len());
+        let stale = AtomicUsize::new(0);
+        std::thread::scope(|scope| {
+            for (writer, state) in states.into_iter().enumerate() {
+                let (record, store, barrier, stale) = (&record, &store, &barrier, &stale);
+                scope.spawn(move || {
+                    for round in 0..50 {
+                        // Every writer transitions and persists at once;
+                        // then one checks the file while the rest wait.
+                        record.set_state(
+                            state,
+                            Some(format!("writer {writer} round {round}")),
+                            None,
+                        );
+                        record.persist().expect("persist job.json");
+                        if barrier.wait().is_leader()
+                            && store.read_job().ok() != Some(record.manifest())
+                        {
+                            stale.fetch_add(1, Ordering::Relaxed);
+                        }
+                        barrier.wait();
+                    }
+                });
+            }
+        });
+        assert_eq!(stale.into_inner(), 0, "a stale job.json outlived a newer state");
+        assert_eq!(store.read_job().expect("job.json"), record.manifest());
+        std::fs::remove_dir_all(&dir).unwrap();
     }
 }

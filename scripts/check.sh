@@ -1,9 +1,13 @@
 #!/usr/bin/env bash
-# Repo gate: formatting, lints, rustdoc warnings, build, the full test
-# suite, and the end-to-end smoke tests in smoke.sh. CI runs exactly this
-# script (see .github/workflows/ci.yml); run it locally before pushing.
+# Repo gate: perfbench's Python self-tests, formatting, lints, rustdoc
+# warnings, build, the full test suite, and the end-to-end smoke tests in
+# smoke.sh. CI runs exactly this script (see .github/workflows/ci.yml);
+# run it locally before pushing.
 set -euo pipefail
 cd "$(dirname "$0")/.."
+
+echo "==> perfbench self-tests (pure Python, no build)"
+PYTHONDONTWRITEBYTECODE=1 python3 -m unittest discover -s perfbench -p 'test_*.py'
 
 echo "==> cargo fmt --check"
 cargo fmt --all -- --check
