@@ -1033,7 +1033,7 @@ mod tests {
         (trace.collect(), front.map(|row| row.into_iter().map(f64::to_bits).collect()).collect())
     }
 
-    /// Full evaluation (the capacity-0 delta engine) at one thread is the
+    /// Full evaluation (the delta engine switched off) at one thread is the
     /// reference; the default delta path at one and four threads must
     /// match it bit for bit.
     fn assert_delta_is_invisible(algorithm: Algorithm, chaos: Option<Chaos>) {

@@ -6,42 +6,39 @@
 //! small set of flows, yet [`Evaluator::evaluate`] recomputes every flow
 //! walk — and, for rewires, the all-pairs Dijkstra — from scratch.
 //!
-//! This module keeps an [`EvalState`] per scored design: the per-flow
-//! objective *terms* (latency and energy contributions), the per-link
-//! flow membership lists, the power grid, and the routing table. Applying
-//! a [`MoveDelta`] recomputes only the affected terms and then re-derives
-//! every accumulator by summing the stored terms **in the original
-//! accumulation order**, so the result is bitwise identical to a full
-//! evaluation despite f64 addition being non-associative:
+//! This module keeps an [`EvalState`] per scored design: the routing
+//! table, every objective term of the evaluator's term pass (per-flow
+//! latency and energy, per-link utilization, per-pair CPU–LLC latency,
+//! the power grid and thermal solution) and the ascending flow indices
+//! crossing each link. Applying a [`MoveDelta`] patches only the affected
+//! terms and then runs the same assembly step full evaluation ends in,
+//! so the result is bitwise identical to a full evaluation despite f64
+//! addition being non-associative:
 //!
 //! * a *swap* re-walks only the flows touching the two swapped tiles and
 //!   re-solves the thermal model on a two-cell power-grid patch;
 //! * a *rewire* repairs the routing table incrementally
 //!   ([`RoutingTable::repair_rewire`]): only sources whose shortest-path
-//!   tree provably changes are re-routed, and only their flows (plus the
-//!   flows of degree-changed routers, whose energy coefficient moves)
-//!   are re-walked.
+//!   tree provably changes are re-routed, and only their flows are
+//!   re-walked; flows crossing a degree-changed router get their energy
+//!   term refreshed.
 //!
-//! The exactness argument, fallback rules, and the differential harness
-//! that enforces them live in DESIGN.md §5 and
-//! `crates/manycore/tests/delta_parity.rs`. Whenever a neighbor is not a
-//! recognizable single move, [`DeltaEngine`] falls back to a full
-//! evaluation — never to an approximation.
+//! The exactness argument and the differential harness that enforces it
+//! live in DESIGN.md §5 and `crates/manycore/tests/delta_parity.rs`.
+//! Whenever a neighbor is not a recognizable single move, [`DeltaEngine`]
+//! falls back to a full evaluation — never to an approximation.
 
+use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
-
-use moela_thermal::PowerGrid;
-use moela_traffic::edp::NetworkStats;
-use moela_traffic::PeKind;
 
 use crate::design::Design;
 use crate::geometry::TileId;
 use crate::link::Link;
-use crate::objectives::{Evaluation, Evaluator};
+use crate::objectives::{flow_terms, Evaluation, Evaluator, Terms};
 use crate::routing::RoutingTable;
 
-/// Default number of evaluation states kept per [`DeltaEngine`]. Hill
+/// Number of evaluation states kept per [`DeltaEngine`]. Hill
 /// climbing needs only the current design plus the neighbor under test;
 /// the slack covers multi-start descents interleaved by work stealing.
 pub const DEFAULT_DELTA_CACHE_CAPACITY: usize = 32;
@@ -129,32 +126,16 @@ pub(crate) fn design_key(s: &Design) -> Vec<u8> {
 
 /// The decomposed evaluation of one design: every term of every objective
 /// accumulator, stored so that a neighbor's evaluation can patch the few
-/// terms a move touches and re-sum the rest unchanged.
+/// terms a move touches and re-sum the rest unchanged. A state is only
+/// meaningful to the [`Evaluator`] (or a clone of it) that built it.
 #[derive(Clone, Debug)]
 pub struct EvalState {
     design: Design,
     table: Arc<RoutingTable>,
-    /// `workload.flows()` snapshot, shared by every state of one engine.
-    flows: Arc<Vec<(usize, usize, f64)>>,
-    /// CPU–LLC pairs `(cpu, llc, traffic)` in eq. (3) iteration order.
-    cpu_pairs: Arc<Vec<(usize, usize, f64)>>,
-    /// `f · latency(src, dst)` per flow, in flow order.
-    latency_terms: Vec<f64>,
-    /// `f · flow_energy` per flow, in flow order.
-    energy_terms: Vec<f64>,
+    terms: Terms,
     /// Ascending flow indices crossing each link. Re-summing a link's
-    /// users in this order replays the original utilization additions.
+    /// users in this order replays the term pass's utilization additions.
     link_users: Vec<Vec<u32>>,
-    utilization: Vec<f64>,
-    link_energy: Vec<f64>,
-    router_energy: Vec<f64>,
-    /// `latency · traffic` per CPU–LLC pair, in `cpu_pairs` order.
-    cpu_terms: Vec<f64>,
-    total_flow: f64,
-    power: PowerGrid,
-    thermal: f64,
-    peak_temperature: f64,
-    total_pe_power: f64,
     evaluation: Evaluation,
 }
 
@@ -168,32 +149,6 @@ impl EvalState {
     pub fn design(&self) -> &Design {
         &self.design
     }
-}
-
-/// Walks one flow exactly as [`Evaluator::evaluate_with_table`] does,
-/// returning its latency and energy terms. `on_link` observes each link
-/// on the path (for utilization/user-list bookkeeping). Shared by full
-/// state construction and delta application so both execute the same
-/// floating-point operation sequence.
-fn flow_terms(
-    table: &RoutingTable,
-    src: TileId,
-    dst: TileId,
-    f: f64,
-    link_energy: &[f64],
-    router_energy: &[f64],
-    mut on_link: impl FnMut(usize),
-) -> (f64, f64) {
-    let latency_term = f * table.latency(src, dst);
-    let mut flow_energy = 0.0;
-    table.walk_path(src, dst, |link, router| {
-        if let Some(k) = link {
-            on_link(k);
-            flow_energy += link_energy[k];
-        }
-        flow_energy += router_energy[router.0];
-    });
-    (latency_term, f * flow_energy)
 }
 
 /// Merges `additions` (ascending, disjoint from `existing`) into the
@@ -237,10 +192,10 @@ impl DirtySet {
     }
 }
 
-/// Deliberate divergence for harness self-tests (satellite of ISSUE 10):
-/// proves the parity suite can catch a wrong delta. Never enabled in
-/// normal builds; only the delta path calls it, so full evaluation stays
-/// correct and the suite must flag the difference.
+/// Deliberate divergence for harness self-tests: proves the parity suite
+/// can catch a wrong delta. Never enabled in normal builds; only the
+/// delta path calls it, so full evaluation stays correct and the suite
+/// must flag the difference.
 #[cfg(feature = "delta-fault")]
 fn inject_delta_fault(utilization: &mut [f64]) {
     if let Some(u) = utilization.first_mut() {
@@ -254,83 +209,10 @@ impl Evaluator {
     /// [`Evaluator::evaluate`] on the same design.
     pub fn build_state(&self, design: &Design) -> EvalState {
         let table = self.routing_for(design);
-        let dims = self.dims();
-        let params = self.params();
-        let link_count = design.topology.link_count();
-        let flows = Arc::new(self.workload().flows());
-        let mix = self.workload().mix();
-        let mut cpu_pairs = Vec::with_capacity(mix.cpus() * mix.llcs());
-        for c in mix.ids_of(PeKind::Cpu) {
-            for m in mix.ids_of(PeKind::Llc) {
-                cpu_pairs.push((c, m, self.workload().traffic(c, m)));
-            }
-        }
-
-        let link_energy: Vec<f64> = design
-            .topology
-            .links()
-            .iter()
-            .map(|l| l.length(dims) * params.link_energy_per_unit)
-            .collect();
-        let router_energy: Vec<f64> = (0..dims.tiles())
-            .map(|t| params.router_energy_per_port * design.topology.degree(TileId(t)) as f64)
-            .collect();
-
-        let mut utilization = vec![0.0f64; link_count];
-        let mut link_users: Vec<Vec<u32>> = vec![Vec::new(); link_count];
-        let mut latency_terms = Vec::with_capacity(flows.len());
-        let mut energy_terms = Vec::with_capacity(flows.len());
-        let mut total_flow = 0.0f64;
-        for (fi, &(i, j, f)) in flows.iter().enumerate() {
-            let src = design.placement.tile_of(i);
-            let dst = design.placement.tile_of(j);
-            total_flow += f;
-            let (lat, en) = flow_terms(&table, src, dst, f, &link_energy, &router_energy, |k| {
-                utilization[k] += f;
-                link_users[k].push(fi as u32);
-            });
-            latency_terms.push(lat);
-            energy_terms.push(en);
-        }
-
-        let cpu_terms: Vec<f64> = cpu_pairs
-            .iter()
-            .map(|&(c, m, t)| {
-                table.latency(design.placement.tile_of(c), design.placement.tile_of(m)) * t
-            })
-            .collect();
-
-        let mut power = PowerGrid::new(dims.nx(), dims.ny(), dims.layers());
-        for t in dims.tile_ids() {
-            let c = dims.coord(t);
-            let stack = c.y * dims.nx() + c.x;
-            power.set(stack, c.z + 1, self.workload().pe_power(design.placement.pe_at(t)));
-        }
-        let thermal = self.thermal_model().thermal_objective(&power);
-        let peak_temperature = self.thermal_model().peak_temperature(&power);
-        let total_pe_power = self.workload().pe_powers().iter().sum();
-
-        let mut st = EvalState {
-            design: design.clone(),
-            table,
-            flows,
-            cpu_pairs: Arc::new(cpu_pairs),
-            latency_terms,
-            energy_terms,
-            link_users,
-            utilization,
-            link_energy,
-            router_energy,
-            cpu_terms,
-            total_flow,
-            power,
-            thermal,
-            peak_temperature,
-            total_pe_power,
-            evaluation: zero_evaluation(),
-        };
-        self.finish_evaluation(&mut st);
-        st
+        let mut link_users = vec![Vec::new(); design.topology.link_count()];
+        let terms = self.terms(design, &table, |fi, k| link_users[k].push(fi as u32));
+        let evaluation = self.assemble(&terms);
+        EvalState { design: design.clone(), table, terms, link_users, evaluation }
     }
 
     /// Applies `delta` to `base`, producing the neighbor's full state.
@@ -339,73 +221,29 @@ impl Evaluator {
     /// state is bitwise identical to a fresh `build_state` of the moved
     /// design.
     pub fn evaluate_delta(&self, base: &EvalState, delta: &MoveDelta) -> Option<EvalState> {
+        let mut st = base.clone();
         match *delta {
-            MoveDelta::Identity => Some(base.clone()),
-            MoveDelta::Swap { a, b } => Some(self.apply_swap(base, a, b)),
+            MoveDelta::Identity => return Some(st),
+            MoveDelta::Swap { a, b } => self.apply_swap(base, &mut st, a, b),
             MoveDelta::Rewire { victim_idx, new_link } => {
-                self.apply_rewire(base, victim_idx, new_link)
+                self.apply_rewire(base, &mut st, victim_idx, new_link)?
             }
         }
+        #[cfg(feature = "delta-fault")]
+        inject_delta_fault(&mut st.terms.utilization);
+        st.evaluation = self.assemble(&st.terms);
+        Some(st)
     }
 
-    /// Re-derives every accumulator of `st.evaluation` by summing the
-    /// stored terms in the original accumulation order (flow order, link
-    /// order, pair order), replaying `evaluate_with_table`'s exact f64
-    /// addition sequences.
-    fn finish_evaluation(&self, st: &mut EvalState) {
-        let link_count = st.utilization.len();
-        let weighted_latency: f64 = st.latency_terms.iter().sum();
-        let energy: f64 = st.energy_terms.iter().sum();
-        let mean_traffic = st.utilization.iter().sum::<f64>() / link_count as f64;
-        let traffic_variance =
-            st.utilization.iter().map(|u| (u - mean_traffic).powi(2)).sum::<f64>()
-                / link_count as f64;
-        let mix = self.workload().mix();
-        let cpu_llc_pairs = (mix.cpus() * mix.llcs()) as f64;
-        let cpu_sum: f64 = st.cpu_terms.iter().sum();
-        let cpu_latency = if cpu_llc_pairs > 0.0 { cpu_sum / cpu_llc_pairs } else { 0.0 };
-        let max_u = st.utilization.iter().fold(0.0f64, |a, &b| a.max(b));
-        st.evaluation = Evaluation {
-            mean_traffic,
-            traffic_variance,
-            cpu_latency,
-            energy,
-            thermal: st.thermal,
-            peak_temperature: st.peak_temperature,
-            network: NetworkStats {
-                avg_packet_latency: if st.total_flow > 0.0 {
-                    weighted_latency / st.total_flow
-                } else {
-                    0.0
-                },
-                max_link_utilization: max_u / self.params().link_capacity,
-                network_energy_rate: energy,
-                total_pe_power: st.total_pe_power,
-            },
-        };
-    }
-
-    /// A two-tile placement swap: the topology — and therefore the routing
-    /// table — is untouched, so only flows with an endpoint PE on `a` or
-    /// `b` are re-walked, CPU–LLC pairs involving a moved PE re-scored,
-    /// and the power grid patched in two cells before a thermal re-solve.
-    fn apply_swap(&self, base: &EvalState, a: TileId, b: TileId) -> EvalState {
-        let mut st = base.clone();
-        let pe_a = st.design.placement.pe_at(a);
-        let pe_b = st.design.placement.pe_at(b);
-        st.design.placement.swap(a, b);
-        let moved = |pe: usize| pe == pe_a || pe == pe_b;
-
-        // Pass 1: mark affected flows and the links of their old paths.
-        let mut dirty = DirtySet::new(st.utilization.len());
-        let mut affected = vec![false; st.flows.len()];
-        for (fi, &(i, j, _f)) in base.flows.iter().enumerate() {
-            if !(moved(i) || moved(j)) {
-                continue;
-            }
-            affected[fi] = true;
-            let src = base.design.placement.tile_of(i);
-            let dst = base.design.placement.tile_of(j);
+    /// Re-routes every flow marked in `changed`: unlinks its old path
+    /// (`base`'s table and placement), re-walks it on `st`'s, and re-sums
+    /// the utilization of every link either path crosses from its
+    /// ascending user list, replaying the term pass's additions.
+    fn rewalk(&self, base: &EvalState, st: &mut EvalState, changed: &[bool]) {
+        let flows = || self.flows.iter().enumerate().filter(|&(fi, _)| changed[fi]);
+        let mut dirty = DirtySet::new(st.terms.utilization.len());
+        for (_, &(i, j, _)) in flows() {
+            let (src, dst) = (base.design.placement.tile_of(i), base.design.placement.tile_of(j));
             base.table.walk_path(src, dst, |link, _| {
                 if let Some(k) = link {
                     dirty.add(k);
@@ -413,85 +251,67 @@ impl Evaluator {
             });
         }
         for &k in &dirty.list {
-            st.link_users[k].retain(|&u| !affected[u as usize]);
+            st.link_users[k].retain(|&u| !changed[u as usize]);
         }
-
-        // Pass 2: re-walk affected flows on their new endpoints.
-        let mut added: std::collections::HashMap<usize, Vec<u32>> =
-            std::collections::HashMap::new();
-        for (fi, &(i, j, f)) in st.flows.iter().enumerate() {
-            if !affected[fi] {
-                continue;
-            }
-            let src = st.design.placement.tile_of(i);
-            let dst = st.design.placement.tile_of(j);
+        let mut added: HashMap<usize, Vec<u32>> = HashMap::new();
+        let terms = &mut st.terms;
+        for (fi, &(i, j, f)) in flows() {
+            let (src, dst) = (st.design.placement.tile_of(i), st.design.placement.tile_of(j));
             let (lat, en) =
-                flow_terms(&st.table, src, dst, f, &st.link_energy, &st.router_energy, |k| {
+                flow_terms(&st.table, src, dst, f, &terms.link_energy, &terms.router_energy, |k| {
                     dirty.add(k);
                     added.entry(k).or_default().push(fi as u32);
                 });
-            st.latency_terms[fi] = lat;
-            st.energy_terms[fi] = en;
+            terms.latency[fi] = lat;
+            terms.energy[fi] = en;
         }
-
-        // Pass 3: rebuild utilization of dirty links from their user
-        // lists — ascending flow order replays the original additions.
         for &k in &dirty.list {
             if let Some(new) = added.get(&k) {
                 merge_sorted(&mut st.link_users[k], new);
             }
-            st.utilization[k] = st.link_users[k].iter().map(|&u| st.flows[u as usize].2).sum();
+            terms.utilization[k] = st.link_users[k].iter().map(|&u| self.flows[u as usize].2).sum();
         }
+    }
 
-        // CPU–LLC pairs touching a moved PE.
-        let cpu_pairs = Arc::clone(&st.cpu_pairs);
-        for (pi, &(c, m, t)) in cpu_pairs.iter().enumerate() {
-            if moved(c) || moved(m) {
-                st.cpu_terms[pi] = st
-                    .table
-                    .latency(st.design.placement.tile_of(c), st.design.placement.tile_of(m))
-                    * t;
+    /// A two-tile placement swap: the topology — and therefore the routing
+    /// table — is untouched, so only flows with an endpoint PE on `a` or
+    /// `b` are re-walked, CPU–LLC pairs involving a moved PE re-scored,
+    /// and the power grid patched in two cells before a thermal re-solve.
+    fn apply_swap(&self, base: &EvalState, st: &mut EvalState, a: TileId, b: TileId) {
+        let pe_a = base.design.placement.pe_at(a);
+        let pe_b = base.design.placement.pe_at(b);
+        let moved = |pe: usize| pe == pe_a || pe == pe_b;
+        st.design.placement.swap(a, b);
+        let affected: Vec<bool> =
+            self.flows.iter().map(|&(i, j, _)| moved(i) || moved(j)).collect();
+        self.rewalk(base, st, &affected);
+        for (pi, &pair) in self.cpu_pairs.iter().enumerate() {
+            if moved(pair.0) || moved(pair.1) {
+                st.terms.cpu[pi] = self.cpu_term(&st.design, &st.table, pair);
             }
         }
-
-        // Thermal: overwrite the two moved cells, re-solve the pure model.
-        let dims = self.dims();
-        for t in [a, b] {
-            let c = dims.coord(t);
-            let stack = c.y * dims.nx() + c.x;
-            st.power.set(stack, c.z + 1, self.workload().pe_power(st.design.placement.pe_at(t)));
-        }
-        st.thermal = self.thermal_model().thermal_objective(&st.power);
-        st.peak_temperature = self.thermal_model().peak_temperature(&st.power);
-
-        #[cfg(feature = "delta-fault")]
-        inject_delta_fault(&mut st.utilization);
-        self.finish_evaluation(&mut st);
-        st
+        self.set_power(&mut st.terms, &st.design, [a, b]);
     }
 
     /// A single link rewire: the routing table is repaired incrementally
     /// (only provably-affected source rows re-routed), flows of affected
     /// sources are re-walked, flows crossing a degree-changed router get
     /// their energy term refreshed, and the thermal solution is reused
-    /// outright (placement unchanged).
+    /// outright (placement unchanged). `None` for an out-of-range index
+    /// or a link the topology already has.
     fn apply_rewire(
         &self,
         base: &EvalState,
+        st: &mut EvalState,
         victim_idx: usize,
         new_link: Link,
-    ) -> Option<EvalState> {
-        let dims = self.dims();
-        let params = self.params();
-        let mut st = base.clone();
-        if victim_idx >= st.design.topology.link_count() {
-            return None;
-        }
-        let old_link = st.design.topology.links()[victim_idx];
+    ) -> Option<()> {
+        let (dims, params) = (self.dims(), self.params());
+        let old_link = *base.design.topology.links().get(victim_idx)?;
         if old_link == new_link {
-            return Some(st);
+            return Some(());
         }
-        if st.design.topology.contains(new_link) {
+        if base.design.topology.contains(new_link) {
             // A parallel link would break the replace invariant; the moves
             // module never produces one, but diffing is defensive.
             return None;
@@ -506,121 +326,55 @@ impl Evaluator {
 
         // Energy coefficients: the replaced link's length and the degrees
         // of up to four routers change.
-        st.link_energy[victim_idx] = new_link.length(dims) * params.link_energy_per_unit;
-        let mut degree_changed = vec![false; dims.tiles()];
+        st.terms.link_energy[victim_idx] = self.link_energy(new_link);
+        let mut degree_changed = Vec::new();
         for t in [old_link.a(), old_link.b(), new_link.a(), new_link.b()] {
-            let new_energy = params.router_energy_per_port * st.design.topology.degree(t) as f64;
-            if new_energy != st.router_energy[t.0] {
-                st.router_energy[t.0] = new_energy;
-                degree_changed[t.0] = true;
+            let energy = self.router_energy(&st.design.topology, t);
+            if energy != st.terms.router_energy[t.0] {
+                st.terms.router_energy[t.0] = energy;
+                degree_changed.push(t);
             }
         }
 
-        // Flow classification. `route_changed`: the source row was
-        // re-routed, so path, latency, and utilization may all change.
-        // `energy_only`: the path is provably identical but crosses a
-        // degree-changed router, so just the energy term moves.
-        let mut route_changed = vec![false; st.flows.len()];
-        for (fi, &(i, _j, _f)) in base.flows.iter().enumerate() {
-            let src = base.design.placement.tile_of(i);
-            if affected_src[src.0] {
-                route_changed[fi] = true;
-            }
-        }
-        let mut energy_only = vec![false; st.flows.len()];
-        for (t, changed) in degree_changed.iter().enumerate() {
-            if !changed {
-                continue;
-            }
-            // Every route visiting router `t` crosses a link incident to
-            // it (all flows span at least one hop), so the old adjacency's
-            // user lists cover exactly the flows whose walk touches `t`.
-            for &(_, li) in base.design.topology.neighbors(TileId(t)) {
+        // A re-routed source row may change a flow's path, latency and
+        // utilization.
+        let placement = &base.design.placement;
+        let route_changed: Vec<bool> =
+            self.flows.iter().map(|&(i, _, _)| affected_src[placement.tile_of(i).0]).collect();
+        self.rewalk(base, st, &route_changed);
+
+        // A flow whose path is provably unchanged but crosses a
+        // degree-changed router only needs its energy term refreshed.
+        // Every route visiting router `t` crosses a link incident to it
+        // (all flows span at least one hop), so the old adjacency's user
+        // lists cover exactly the flows whose walk touches `t`.
+        let mut refreshed = route_changed;
+        for t in degree_changed {
+            for &(_, li) in base.design.topology.neighbors(t) {
                 for &u in &base.link_users[li] {
-                    if !route_changed[u as usize] {
-                        energy_only[u as usize] = true;
+                    let fi = u as usize;
+                    if refreshed[fi] {
+                        continue;
                     }
+                    refreshed[fi] = true;
+                    let (i, j, f) = self.flows[fi];
+                    let (src, dst) = (placement.tile_of(i), placement.tile_of(j));
+                    let terms = &mut st.terms;
+                    let (link_energy, router_energy) = (&terms.link_energy, &terms.router_energy);
+                    terms.energy[fi] =
+                        flow_terms(&st.table, src, dst, f, link_energy, router_energy, |_| {}).1;
                 }
             }
         }
 
-        // Surgery on re-routed flows, exactly as in a swap.
-        let mut dirty = DirtySet::new(st.utilization.len());
-        for (fi, &(i, j, _f)) in base.flows.iter().enumerate() {
-            if !route_changed[fi] {
-                continue;
-            }
-            let src = base.design.placement.tile_of(i);
-            let dst = base.design.placement.tile_of(j);
-            base.table.walk_path(src, dst, |link, _| {
-                if let Some(k) = link {
-                    dirty.add(k);
-                }
-            });
-        }
-        for &k in &dirty.list {
-            st.link_users[k].retain(|&u| !route_changed[u as usize]);
-        }
-        let mut added: std::collections::HashMap<usize, Vec<u32>> =
-            std::collections::HashMap::new();
-        for fi in 0..st.flows.len() {
-            let (i, j, f) = st.flows[fi];
-            if route_changed[fi] {
-                let src = st.design.placement.tile_of(i);
-                let dst = st.design.placement.tile_of(j);
-                let (lat, en) =
-                    flow_terms(&st.table, src, dst, f, &st.link_energy, &st.router_energy, |k| {
-                        dirty.add(k);
-                        added.entry(k).or_default().push(fi as u32);
-                    });
-                st.latency_terms[fi] = lat;
-                st.energy_terms[fi] = en;
-            } else if energy_only[fi] {
-                let src = st.design.placement.tile_of(i);
-                let dst = st.design.placement.tile_of(j);
-                let (_lat, en) =
-                    flow_terms(&st.table, src, dst, f, &st.link_energy, &st.router_energy, |_| {});
-                st.energy_terms[fi] = en;
+        // CPU–LLC pairs read the source row of the table only; thermal
+        // depends on placement only and is reused as-is.
+        for (pi, &pair) in self.cpu_pairs.iter().enumerate() {
+            if affected_src[placement.tile_of(pair.0).0] {
+                st.terms.cpu[pi] = self.cpu_term(&st.design, &st.table, pair);
             }
         }
-        for &k in &dirty.list {
-            if let Some(new) = added.get(&k) {
-                merge_sorted(&mut st.link_users[k], new);
-            }
-            st.utilization[k] = st.link_users[k].iter().map(|&u| st.flows[u as usize].2).sum();
-        }
-
-        // CPU–LLC pairs read the source row of the table only.
-        let cpu_pairs = Arc::clone(&st.cpu_pairs);
-        for (pi, &(c, m, t)) in cpu_pairs.iter().enumerate() {
-            let src = st.design.placement.tile_of(c);
-            if affected_src[src.0] {
-                st.cpu_terms[pi] = st.table.latency(src, st.design.placement.tile_of(m)) * t;
-            }
-        }
-
-        // Thermal depends on placement only: reuse the solution as-is.
-        #[cfg(feature = "delta-fault")]
-        inject_delta_fault(&mut st.utilization);
-        self.finish_evaluation(&mut st);
-        Some(st)
-    }
-}
-
-fn zero_evaluation() -> Evaluation {
-    Evaluation {
-        mean_traffic: 0.0,
-        traffic_variance: 0.0,
-        cpu_latency: 0.0,
-        energy: 0.0,
-        thermal: 0.0,
-        peak_temperature: 0.0,
-        network: NetworkStats {
-            avg_packet_latency: 0.0,
-            max_link_utilization: 0.0,
-            network_energy_rate: 0.0,
-            total_pe_power: 0.0,
-        },
+        Some(())
     }
 }
 
@@ -639,24 +393,18 @@ struct DeltaLru {
 /// Shared via `Arc` across clones of one problem, so a hill climber's
 /// accepted design is almost always resident when its neighbors are
 /// scored.
-#[derive(Debug)]
+#[derive(Debug, Default)]
 pub struct DeltaEngine {
-    capacity: usize,
     state: Mutex<DeltaLru>,
     hits: AtomicU64,
     fallbacks: AtomicU64,
 }
 
 impl DeltaEngine {
-    /// An empty engine holding at most `capacity` states (0 disables
-    /// state retention entirely: every call is a fallback).
-    pub fn new(capacity: usize) -> Self {
-        Self {
-            capacity,
-            state: Mutex::new(DeltaLru::default()),
-            hits: AtomicU64::new(0),
-            fallbacks: AtomicU64::new(0),
-        }
+    /// An empty engine holding at most [`DEFAULT_DELTA_CACHE_CAPACITY`]
+    /// states.
+    pub fn new() -> Self {
+        Self::default()
     }
 
     /// Neighbor evaluations served by a delta application.
@@ -677,9 +425,6 @@ impl DeltaEngine {
     }
 
     fn get(&self, key: &[u8]) -> Option<Arc<EvalState>> {
-        if self.capacity == 0 {
-            return None;
-        }
         let mut lru = self.lru();
         lru.tick += 1;
         let tick = lru.tick;
@@ -689,16 +434,13 @@ impl DeltaEngine {
     }
 
     fn insert(&self, key: Vec<u8>, state: Arc<EvalState>) {
-        if self.capacity == 0 {
-            return;
-        }
         let mut lru = self.lru();
         lru.tick += 1;
         let tick = lru.tick;
         if lru.entries.iter().any(|(k, _, _)| *k == key) {
             return;
         }
-        if lru.entries.len() >= self.capacity {
+        if lru.entries.len() >= DEFAULT_DELTA_CACHE_CAPACITY {
             let victim = lru
                 .entries
                 .iter()
@@ -722,13 +464,6 @@ impl DeltaEngine {
         base: &Design,
         next: &Design,
     ) -> Evaluation {
-        if self.capacity == 0 {
-            // Delta evaluation disabled: every neighbor is a full
-            // evaluation, counted as a fallback so counters stay
-            // comparable between on and off runs.
-            self.fallbacks.fetch_add(1, Ordering::Relaxed);
-            return evaluator.evaluate(next);
-        }
         let base_state = match self.get(&design_key(base)) {
             Some(s) => s,
             None => {
@@ -859,7 +594,7 @@ mod tests {
     #[test]
     fn engine_serves_neighbors_and_counts_hits() {
         let (ev, builder, design, mut rng) = setup();
-        let engine = DeltaEngine::new(DEFAULT_DELTA_CACHE_CAPACITY);
+        let engine = DeltaEngine::new();
         let mut current = design;
         for _ in 0..10 {
             let next =
@@ -877,7 +612,7 @@ mod tests {
     #[test]
     fn poisoned_engine_recovers_and_stays_exact() {
         let (ev, builder, design, mut rng) = setup();
-        let engine = DeltaEngine::new(DEFAULT_DELTA_CACHE_CAPACITY);
+        let engine = DeltaEngine::new();
         let next = moves::rewire_link(ev.dims(), &builder, 7, &design, &mut rng);
         assert_eq!(engine.evaluate_neighbor(&ev, &design, &next), ev.evaluate(&next));
         std::thread::scope(|s| {
@@ -899,15 +634,5 @@ mod tests {
             );
             assert_eq!(got, want);
         }
-    }
-
-    #[test]
-    fn zero_capacity_engine_always_falls_back_but_stays_exact() {
-        let (ev, builder, design, mut rng) = setup();
-        let engine = DeltaEngine::new(0);
-        let next = moves::rewire_link(ev.dims(), &builder, 7, &design, &mut rng);
-        assert_eq!(engine.evaluate_neighbor(&ev, &design, &next), ev.evaluate(&next));
-        assert_eq!(engine.hits(), 0);
-        assert!(engine.fallbacks() >= 1);
     }
 }

@@ -8,9 +8,11 @@ use moela_traffic::edp::NetworkStats;
 use moela_traffic::{PeKind, Workload};
 
 use crate::design::Design;
-use crate::geometry::GridDims;
+use crate::geometry::{GridDims, TileId};
+use crate::link::Link;
 use crate::params::NocParams;
 use crate::routing::RoutingTable;
+use crate::topology::Topology;
 
 /// Which of the paper's objective stacks to evaluate.
 ///
@@ -79,10 +81,13 @@ impl Evaluation {
 
 /// Evaluates designs for one `(platform, workload)` pair.
 ///
-/// Every full evaluation builds its routing table from scratch; cheap
-/// re-scoring of single-move neighbors is the job of
-/// [`crate::delta::DeltaEngine`]. Clones share one counter of full
-/// table builds ([`Evaluator::routing_rebuilds`]).
+/// Every objective is scored in two steps: a term pass computes each
+/// summand (per-flow latency and energy, per-link utilization, per-pair
+/// CPU–LLC latency, the thermal solution) and one assembly step sums
+/// them. Full evaluation and the exact neighbor patching of
+/// [`crate::delta::DeltaEngine`] both end in that assembly, so the f64
+/// accumulation order of every objective is decided in one place. Clones
+/// share one counter of full table builds ([`Evaluator::routing_rebuilds`]).
 #[derive(Clone, Debug)]
 pub struct Evaluator {
     dims: GridDims,
@@ -90,6 +95,58 @@ pub struct Evaluator {
     workload: Workload,
     thermal: FastThermalModel,
     rebuilds: Arc<AtomicU64>,
+    /// `workload.flows()`: every `(src PE, dst PE, f)` with traffic.
+    pub(crate) flows: Arc<Vec<(usize, usize, f64)>>,
+    /// CPU–LLC pairs `(cpu, llc, traffic)` in eq. (3) iteration order.
+    pub(crate) cpu_pairs: Arc<Vec<(usize, usize, f64)>>,
+    total_flow: f64,
+    total_pe_power: f64,
+}
+
+/// Every summand of one design's objectives, in accumulation order. A
+/// neighbor's evaluation patches the few terms a move touches and
+/// re-assembles the rest unchanged.
+#[derive(Clone, Debug)]
+pub(crate) struct Terms {
+    /// `f · latency(src, dst)` per flow, in flow order.
+    pub(crate) latency: Vec<f64>,
+    /// `f · (Σ link energy + Σ router energy)` per flow, in flow order.
+    pub(crate) energy: Vec<f64>,
+    /// Flow per link: the sum of `f` over the flows crossing it.
+    pub(crate) utilization: Vec<f64>,
+    /// Energy coefficient per link, in link order.
+    pub(crate) link_energy: Vec<f64>,
+    /// Energy coefficient per router, in tile order.
+    pub(crate) router_energy: Vec<f64>,
+    /// `latency · traffic` per CPU–LLC pair, in `cpu_pairs` order.
+    pub(crate) cpu: Vec<f64>,
+    /// Per-PE power mapped onto the stacks.
+    pub(crate) power: PowerGrid,
+    /// The thermal model's eq. (7) objective and peak temperature of `power`.
+    pub(crate) thermal: f64,
+    pub(crate) peak_temperature: f64,
+}
+
+/// Walks the route of one flow of `f` from `src` to `dst`, returning its
+/// latency and energy terms. `on_link` observes each link on the path.
+pub(crate) fn flow_terms(
+    table: &RoutingTable,
+    src: TileId,
+    dst: TileId,
+    f: f64,
+    link_energy: &[f64],
+    router_energy: &[f64],
+    mut on_link: impl FnMut(usize),
+) -> (f64, f64) {
+    let mut flow_energy = 0.0;
+    table.walk_path(src, dst, |link, router| {
+        if let Some(k) = link {
+            on_link(k);
+            flow_energy += link_energy[k];
+        }
+        flow_energy += router_energy[router.0];
+    });
+    (f * table.latency(src, dst), f * flow_energy)
 }
 
 impl Evaluator {
@@ -110,7 +167,24 @@ impl Evaluator {
             thermal.params().layers() >= dims.layers(),
             "thermal model covers fewer layers than the grid"
         );
-        Self { dims, params, workload, thermal, rebuilds: Arc::new(AtomicU64::new(0)) }
+        let flows = workload.flows();
+        let mix = workload.mix();
+        let cpu_pairs = mix
+            .ids_of(PeKind::Cpu)
+            .flat_map(|c| mix.ids_of(PeKind::Llc).map(move |m| (c, m)))
+            .map(|(c, m)| (c, m, workload.traffic(c, m)))
+            .collect();
+        Self {
+            dims,
+            params,
+            total_flow: flows.iter().map(|&(_, _, f)| f).sum(),
+            total_pe_power: workload.pe_powers().iter().sum(),
+            flows: Arc::new(flows),
+            cpu_pairs: Arc::new(cpu_pairs),
+            workload,
+            thermal,
+            rebuilds: Arc::new(AtomicU64::new(0)),
+        }
     }
 
     /// The workload this evaluator scores against.
@@ -134,12 +208,6 @@ impl Evaluator {
         &self.params
     }
 
-    /// The thermal model (used by the delta-evaluation fast path to
-    /// re-solve a patched power grid).
-    pub(crate) fn thermal_model(&self) -> &FastThermalModel {
-        &self.thermal
-    }
-
     /// Computes every objective and summary statistic for `design`.
     ///
     /// Split into two stages: route construction
@@ -161,88 +229,121 @@ impl Evaluator {
     /// against a pre-built routing table. `table` must have been built
     /// for `design.topology` (same link set *and* order).
     pub fn evaluate_with_table(&self, design: &Design, table: &RoutingTable) -> Evaluation {
-        let link_count = design.topology.link_count();
-        let mut utilization = vec![0.0f64; link_count];
-        let mut energy = 0.0f64;
-        let mut weighted_latency = 0.0f64;
-        let mut total_flow = 0.0f64;
+        self.assemble(&self.terms(design, table, |_, _| {}))
+    }
 
-        // Pre-compute per-link and per-router energy coefficients.
-        let link_energy: Vec<f64> = design
-            .topology
-            .links()
-            .iter()
-            .map(|l| l.length(&self.dims) * self.params.link_energy_per_unit)
-            .collect();
-        let router_energy: Vec<f64> = (0..self.dims.tiles())
-            .map(|t| {
-                self.params.router_energy_per_port
-                    * design.topology.degree(crate::geometry::TileId(t)) as f64
-            })
-            .collect();
+    /// Energy coefficient of `link`: its length times the per-unit energy.
+    pub(crate) fn link_energy(&self, link: Link) -> f64 {
+        link.length(&self.dims) * self.params.link_energy_per_unit
+    }
 
-        for (i, j, f) in self.workload.flows() {
-            let src = design.placement.tile_of(i);
-            let dst = design.placement.tile_of(j);
-            weighted_latency += f * table.latency(src, dst);
-            total_flow += f;
-            let mut flow_energy = 0.0;
-            table.walk_path(src, dst, |link, router| {
-                if let Some(k) = link {
-                    utilization[k] += f;
-                    flow_energy += link_energy[k];
-                }
-                flow_energy += router_energy[router.0];
-            });
-            energy += f * flow_energy;
-        }
+    /// Energy coefficient of router `tile`: its port count in `topology`
+    /// times the per-port energy.
+    pub(crate) fn router_energy(&self, topology: &Topology, tile: TileId) -> f64 {
+        self.params.router_energy_per_port * topology.degree(tile) as f64
+    }
 
-        let mean_traffic = utilization.iter().sum::<f64>() / link_count as f64;
-        let traffic_variance =
-            utilization.iter().map(|u| (u - mean_traffic).powi(2)).sum::<f64>() / link_count as f64;
+    /// Eq. (3)'s summand for one CPU–LLC pair of `cpu_pairs`.
+    pub(crate) fn cpu_term(
+        &self,
+        design: &Design,
+        table: &RoutingTable,
+        (c, m, traffic): (usize, usize, f64),
+    ) -> f64 {
+        table.latency(design.placement.tile_of(c), design.placement.tile_of(m)) * traffic
+    }
 
-        // Eq. (3): CPU–LLC latency, traffic-weighted, normalized by C·M.
-        let mix = self.workload.mix();
-        let mut cpu_latency = 0.0;
-        for c in mix.ids_of(PeKind::Cpu) {
-            for m in mix.ids_of(PeKind::Llc) {
-                let src = design.placement.tile_of(c);
-                let dst = design.placement.tile_of(m);
-                cpu_latency += table.latency(src, dst) * self.workload.traffic(c, m);
-            }
-        }
-        // Degenerate mixes (no CPUs or no LLCs) have no CPU–LLC pairs at
-        // all: the objective is 0 by definition, not 0/0.
-        let cpu_llc_pairs = (mix.cpus() * mix.llcs()) as f64;
-        cpu_latency = if cpu_llc_pairs > 0.0 { cpu_latency / cpu_llc_pairs } else { 0.0 };
-
-        // Thermal: map per-PE power onto the stacks.
-        let mut power = PowerGrid::new(self.dims.nx(), self.dims.ny(), self.dims.layers());
-        for t in self.dims.tile_ids() {
+    /// Maps the power of the PEs on `tiles` onto `terms.power`, then
+    /// re-solves the thermal model.
+    pub(crate) fn set_power(
+        &self,
+        terms: &mut Terms,
+        design: &Design,
+        tiles: impl IntoIterator<Item = TileId>,
+    ) {
+        for t in tiles {
             let c = self.dims.coord(t);
             let stack = c.y * self.dims.nx() + c.x;
-            let pe = design.placement.pe_at(t);
-            power.set(stack, c.z + 1, self.workload.pe_power(pe));
+            terms.power.set(stack, c.z + 1, self.workload.pe_power(design.placement.pe_at(t)));
         }
-        let thermal = self.thermal.thermal_objective(&power);
-        let peak_temperature = self.thermal.peak_temperature(&power);
+        terms.thermal = self.thermal.thermal_objective(&terms.power);
+        terms.peak_temperature = self.thermal.peak_temperature(&terms.power);
+    }
 
-        let max_u = utilization.iter().fold(0.0f64, |a, &b| a.max(b));
-        let network = NetworkStats {
-            avg_packet_latency: if total_flow > 0.0 { weighted_latency / total_flow } else { 0.0 },
-            max_link_utilization: max_u / self.params.link_capacity,
-            network_energy_rate: energy,
-            total_pe_power: self.workload.pe_powers().iter().sum(),
+    /// Every term of `design`'s objectives over `table`, which must have
+    /// been built for `design.topology`. `on_link(flow, link)` observes
+    /// each link of each flow's route, in flow order.
+    pub(crate) fn terms(
+        &self,
+        design: &Design,
+        table: &RoutingTable,
+        mut on_link: impl FnMut(usize, usize),
+    ) -> Terms {
+        let topology = &design.topology;
+        let link_energy: Vec<f64> = topology.links().iter().map(|&l| self.link_energy(l)).collect();
+        let router_energy: Vec<f64> =
+            self.dims.tile_ids().map(|t| self.router_energy(topology, t)).collect();
+        let mut utilization = vec![0.0f64; topology.link_count()];
+        let mut latency = Vec::with_capacity(self.flows.len());
+        let mut energy = Vec::with_capacity(self.flows.len());
+        for (fi, &(i, j, f)) in self.flows.iter().enumerate() {
+            let (src, dst) = (design.placement.tile_of(i), design.placement.tile_of(j));
+            let (lat, en) = flow_terms(table, src, dst, f, &link_energy, &router_energy, |k| {
+                utilization[k] += f;
+                on_link(fi, k);
+            });
+            latency.push(lat);
+            energy.push(en);
+        }
+        let cpu = self.cpu_pairs.iter().map(|&pair| self.cpu_term(design, table, pair)).collect();
+        let mut terms = Terms {
+            latency,
+            energy,
+            utilization,
+            link_energy,
+            router_energy,
+            cpu,
+            power: PowerGrid::new(self.dims.nx(), self.dims.ny(), self.dims.layers()),
+            thermal: 0.0,
+            peak_temperature: 0.0,
         };
+        self.set_power(&mut terms, design, self.dims.tile_ids());
+        terms
+    }
 
+    /// Sums `terms` into the five objectives and the EDP summary: the one
+    /// place the f64 accumulation order of every objective is decided
+    /// (flow order, link order, pair order).
+    pub(crate) fn assemble(&self, terms: &Terms) -> Evaluation {
+        let links = terms.utilization.len() as f64;
+        let weighted_latency: f64 = terms.latency.iter().sum();
+        let energy: f64 = terms.energy.iter().sum();
+        let mean_traffic = terms.utilization.iter().sum::<f64>() / links;
+        let traffic_variance =
+            terms.utilization.iter().map(|u| (u - mean_traffic).powi(2)).sum::<f64>() / links;
+        // Eq. (3): CPU–LLC latency, traffic-weighted, normalized by C·M.
+        // Degenerate mixes (no CPUs or no LLCs) have no CPU–LLC pairs at
+        // all: the objective is 0 by definition, not 0/0.
+        let pairs = self.cpu_pairs.len() as f64;
+        let cpu_latency = if pairs > 0.0 { terms.cpu.iter().sum::<f64>() / pairs } else { 0.0 };
+        let max_u = terms.utilization.iter().fold(0.0f64, |a, &b| a.max(b));
         Evaluation {
             mean_traffic,
             traffic_variance,
             cpu_latency,
             energy,
-            thermal,
-            peak_temperature,
-            network,
+            thermal: terms.thermal,
+            peak_temperature: terms.peak_temperature,
+            network: NetworkStats {
+                avg_packet_latency: if self.total_flow > 0.0 {
+                    weighted_latency / self.total_flow
+                } else {
+                    0.0
+                },
+                max_link_utilization: max_u / self.params.link_capacity,
+                network_energy_rate: energy,
+                total_pe_power: self.total_pe_power,
+            },
         }
     }
 }

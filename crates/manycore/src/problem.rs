@@ -10,7 +10,7 @@ use moela_thermal::{FastThermalModel, ThermalParams};
 use moela_traffic::{PeKind, PeMix, Workload};
 
 use crate::crossover;
-use crate::delta::{self, DeltaEngine, DEFAULT_DELTA_CACHE_CAPACITY};
+use crate::delta::{self, DeltaEngine};
 use crate::design::{Design, Placement};
 use crate::geometry::{GridDims, TileId};
 use crate::link::LinkKind;
@@ -320,8 +320,8 @@ pub struct ManycoreProblem {
     objective_set: ObjectiveSet,
     evaluator: Evaluator,
     builder: TopologyBuilder,
-    delta: Arc<DeltaEngine>,
-    delta_enabled: bool,
+    /// The delta-evaluation fast path; `None` when switched off.
+    delta: Option<Arc<DeltaEngine>>,
 }
 
 impl ManycoreProblem {
@@ -356,8 +356,7 @@ impl ManycoreProblem {
             objective_set,
             evaluator,
             builder,
-            delta: Arc::new(DeltaEngine::new(DEFAULT_DELTA_CACHE_CAPACITY)),
-            delta_enabled: true,
+            delta: Some(Arc::new(DeltaEngine::new())),
         })
     }
 
@@ -395,18 +394,12 @@ impl ManycoreProblem {
     }
 
     /// Switches the incremental (delta) move-evaluation fast path on or
-    /// off. Off replaces the engine, so counters restart from zero and
-    /// nothing is retained. Apply before cloning/sharing the problem:
+    /// off. Either way the engine is replaced, so counters restart from
+    /// zero and nothing is retained; off evaluates every neighbor in full
+    /// and counts nothing. Apply before cloning/sharing the problem:
     /// clones made earlier keep the old engine.
     pub fn set_delta_eval(&mut self, enabled: bool) {
-        self.delta_enabled = enabled;
-        let capacity = if enabled { DEFAULT_DELTA_CACHE_CAPACITY } else { 0 };
-        self.delta = Arc::new(DeltaEngine::new(capacity));
-    }
-
-    /// Whether the delta-evaluation fast path is active.
-    pub fn delta_eval_enabled(&self) -> bool {
-        self.delta_enabled
+        self.delta = enabled.then(|| Arc::new(DeltaEngine::new()));
     }
 
     /// Delta-evaluation (hits, fallbacks) counters, shared across every
@@ -414,7 +407,7 @@ impl ManycoreProblem {
     /// exact incremental update, fallbacks are full evaluations (base
     /// bootstraps included).
     pub fn delta_stats(&self) -> (u64, u64) {
-        (self.delta.hits(), self.delta.fallbacks())
+        self.delta.as_ref().map_or((0, 0), |d| (d.hits(), d.fallbacks()))
     }
 }
 
@@ -463,13 +456,15 @@ impl Problem for ManycoreProblem {
     /// from `base`, the shared [`DeltaEngine`] patches the base's cached
     /// evaluation state instead of re-evaluating from scratch — with a
     /// guaranteed-exact result (the engine falls back to a full
-    /// evaluation whenever a move cannot be scored exactly). Disabled
-    /// engines skip straight to [`evaluate_ordinal`](Problem::evaluate_ordinal).
+    /// evaluation whenever a move cannot be scored exactly). With the fast
+    /// path off this is [`evaluate_ordinal`](Problem::evaluate_ordinal).
     fn evaluate_neighbor_ordinal(&self, base: &Design, s: &Design, ordinal: u64) -> Vec<f64> {
-        if !self.delta_enabled {
-            return self.evaluate_ordinal(s, ordinal);
+        match &self.delta {
+            Some(engine) => {
+                engine.evaluate_neighbor(&self.evaluator, base, s).objectives(self.objective_set)
+            }
+            None => self.evaluate_ordinal(s, ordinal),
         }
-        self.delta.evaluate_neighbor(&self.evaluator, base, s).objectives(self.objective_set)
     }
 
     /// Exact canonical bytes of the design: the placement vector plus the
@@ -764,7 +759,6 @@ mod tests {
     fn disabled_delta_engine_stays_exact_and_counts_nothing() {
         let mut p = paper_problem(ObjectiveSet::Five);
         p.set_delta_eval(false);
-        assert!(!p.delta_eval_enabled());
         let mut rng = rand::rngs::StdRng::seed_from_u64(8);
         let base = p.random_solution(&mut rng);
         let next = p.neighbor(&base, &mut rng);

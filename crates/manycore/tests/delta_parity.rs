@@ -1,8 +1,9 @@
 //! Differential conformance harness for the incremental (delta) move
 //! evaluation fast path: long random move chains — swaps, rewires, and
-//! mixed walks, on the paper platform and on degenerate grids — must
-//! produce objective vectors *bitwise* equal to full evaluation at
-//! every step, for all five objectives.
+//! mixed walks, on every application, on the paper platform and on
+//! degenerate grids — must produce evaluations *bitwise* equal to full
+//! evaluation at every step, in all five objectives and (for patched
+//! states) every field the EDP model reads.
 //!
 //! The harness has a self-check mode: compiling with
 //! `--features delta-fault` routes every applied delta through a
@@ -12,7 +13,7 @@
 //! itself.
 
 use moela_manycore::moves;
-use moela_manycore::{ManycoreProblem, ObjectiveSet, PlatformConfig};
+use moela_manycore::{Evaluation, ManycoreProblem, ObjectiveSet, PlatformConfig};
 use moela_moo::Problem;
 use moela_traffic::{Benchmark, Workload};
 use rand::rngs::StdRng;
@@ -42,8 +43,12 @@ fn platform(grid: u8) -> PlatformConfig {
 }
 
 fn problem_on(grid: u8, set: ObjectiveSet, seed: u64) -> ManycoreProblem {
+    app_problem_on(Benchmark::Bfs, grid, set, seed)
+}
+
+fn app_problem_on(app: Benchmark, grid: u8, set: ObjectiveSet, seed: u64) -> ManycoreProblem {
     let config = platform(grid);
-    let workload = Workload::synthesize(Benchmark::Bfs, config.pe_mix(), seed);
+    let workload = Workload::synthesize(app, config.pe_mix(), seed);
     ManycoreProblem::new(config, workload, set).expect("platform builds")
 }
 
@@ -51,6 +56,89 @@ fn problem_on(grid: u8, set: ObjectiveSet, seed: u64) -> ManycoreProblem {
 /// epsilon, and not `==` (which would let `-0.0` pass for `0.0`).
 fn bits(objectives: &[f64]) -> Vec<u64> {
     objectives.iter().map(|v| v.to_bits()).collect()
+}
+
+/// Bit patterns of every field of an [`Evaluation`]: the five objectives,
+/// the peak temperature and the four network statistics EDP reads.
+fn evaluation_bits(e: &Evaluation) -> [u64; 10] {
+    let n = &e.network;
+    [
+        e.mean_traffic,
+        e.traffic_variance,
+        e.cpu_latency,
+        e.energy,
+        e.thermal,
+        e.peak_temperature,
+        n.avg_packet_latency,
+        n.max_link_utilization,
+        n.network_energy_rate,
+        n.total_pe_power,
+    ]
+    .map(f64::to_bits)
+}
+
+/// Full evaluation of three fixed-seed paper designs, pinned field by
+/// field. Any change to the order in which an objective's terms are
+/// summed moves a bit here, on either side of the `delta-fault` switch
+/// (which only touches the delta path).
+#[test]
+fn full_evaluations_of_paper_designs_are_pinned_bitwise() {
+    let pinned: [(Benchmark, u64, [u64; 10]); 3] = [
+        (
+            Benchmark::Bfs,
+            3,
+            [
+                0x40366b19b9496982,
+                0x409c5b4cc1dd4a6c,
+                0x3ff8db6a668f9be9,
+                0x40d51f2def8de9c3,
+                0x40742a954e5911d2,
+                0x4037799f32eb0554,
+                0x402d8560cd2932a3,
+                0x400ca340cd467f26,
+                0x40d51f2def8de9c3,
+                0x40578d9b829b5ced,
+            ],
+        ),
+        (
+            Benchmark::Hot,
+            11,
+            [
+                0x40352531d9ad8431,
+                0x4066811ab1b5f730,
+                0x3fdba4d560a1d5a9,
+                0x40d4ce6164fb3d76,
+                0x40944ebee7e13bd5,
+                0x40456e6ab84f9f3a,
+                0x402ce34cc87f1aa0,
+                0x3fe1dfea90d814ef,
+                0x40d4ce6164fb3d76,
+                0x40653ba8e6885cf3,
+            ],
+        ),
+        (
+            Benchmark::Sc,
+            29,
+            [
+                0x403562d8b1be11b7,
+                0x40775e632b16787f,
+                0x40069557f0c26433,
+                0x40d4ad13fa8aa386,
+                0x4082b4f54b9be596,
+                0x403ece3b3e9bc04b,
+                0x402cabc93df0ea99,
+                0x3fec98412af852ab,
+                0x40d4ad13fa8aa386,
+                0x405e8531c45becfc,
+            ],
+        ),
+    ];
+    for (app, seed, want) in pinned {
+        let problem = app_problem_on(app, 0, ObjectiveSet::Five, seed);
+        let design = problem.random_solution(&mut StdRng::seed_from_u64(seed));
+        let got = evaluation_bits(&problem.evaluate_full(&design));
+        assert_eq!(got, want, "{app} seed {seed}: full evaluation moved");
+    }
 }
 
 /// The parity suite proper. Compiled out under `delta-fault`, where the
@@ -67,9 +155,9 @@ mod parity {
     /// A bare engine-level evaluator over the same `(platform, workload)`
     /// pair `problem_on` builds, for driving [`Evaluator::evaluate_delta`]
     /// directly.
-    fn evaluator_on(grid: u8, seed: u64) -> Evaluator {
+    fn evaluator_on(app: Benchmark, grid: u8, seed: u64) -> Evaluator {
         let config = platform(grid);
-        let workload = Workload::synthesize(Benchmark::Bfs, config.pe_mix(), seed);
+        let workload = Workload::synthesize(app, config.pe_mix(), seed);
         let thermal = FastThermalModel::new(config.thermal().clone());
         Evaluator::new(*config.dims(), *config.noc(), workload, thermal)
     }
@@ -97,8 +185,9 @@ mod parity {
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(12))]
 
-        /// Random move chains of every kind, on every grid, scored over
-        /// all five objectives: the delta-served neighbor evaluation
+        /// Random move chains of every kind, on every grid and every
+        /// application, scored over all five objectives: the
+        /// delta-served neighbor evaluation
         /// must equal full evaluation bitwise at every single step. The
         /// chain always advances through the delta path's own output,
         /// so drift would compound — and be caught at the step it
@@ -109,8 +198,10 @@ mod parity {
             walk in 1usize..12,
             kind in 0u8..3,
             grid in 0u8..3,
+            app in 0usize..Benchmark::ALL.len(),
         ) {
-            let problem = problem_on(grid, ObjectiveSet::Five, seed);
+            let app = Benchmark::ALL[app];
+            let problem = app_problem_on(app, grid, ObjectiveSet::Five, seed);
             let mut rng = StdRng::seed_from_u64(seed ^ 0xD17A);
             let mut current = problem.random_solution(&mut rng);
             for i in 0..walk {
@@ -119,8 +210,8 @@ mod parity {
                 let full = problem.evaluate(&next);
                 prop_assert_eq!(
                     bits(&fast), bits(&full),
-                    "step {} of a kind-{} chain on grid {} diverged: delta {:?} vs full {:?}",
-                    i, kind, grid, fast, full
+                    "step {} of a kind-{} {} chain on grid {} diverged: delta {:?} vs full {:?}",
+                    i, kind, app, grid, fast, full
                 );
                 current = next;
             }
@@ -129,16 +220,18 @@ mod parity {
         /// The engine driven bare, below the problem wrapper: classify
         /// each move with [`MoveDelta::between`], patch the running
         /// [`EvalState`] with [`Evaluator::evaluate_delta`], and demand
-        /// the patched state equals a from-scratch build bitwise — both
-        /// its evaluation and its successor's (state chaining).
+        /// the patched state equals a from-scratch build bitwise — every
+        /// field of its evaluation, and its successor's (state chaining).
         #[test]
         fn patched_states_equal_fresh_builds(
             seed in 0u64..300,
             walk in 2usize..14,
             grid in 0u8..3,
+            app in 0usize..Benchmark::ALL.len(),
         ) {
-            let problem = problem_on(grid, ObjectiveSet::Five, seed);
-            let evaluator = evaluator_on(grid, seed);
+            let app = Benchmark::ALL[app];
+            let problem = app_problem_on(app, grid, ObjectiveSet::Five, seed);
+            let evaluator = evaluator_on(app, grid, seed);
             let mut rng = StdRng::seed_from_u64(seed ^ 0x5A7E);
             let start = problem.random_solution(&mut rng);
             let mut state = evaluator.build_state(&start);
@@ -151,9 +244,9 @@ mod parity {
                         applied += 1;
                         let fresh = evaluator.build_state(&next);
                         prop_assert_eq!(
-                            bits(&patched.evaluation().objectives(ObjectiveSet::Five)),
-                            bits(&fresh.evaluation().objectives(ObjectiveSet::Five)),
-                            "delta {:?} at step {} diverged from the fresh build", delta, i
+                            evaluation_bits(patched.evaluation()),
+                            evaluation_bits(fresh.evaluation()),
+                            "{} delta {:?} at step {} diverged from the fresh build", app, delta, i
                         );
                         patched
                     }

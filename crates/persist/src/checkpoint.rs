@@ -100,7 +100,9 @@ pub fn from_bytes(bytes: &[u8], path: &Path) -> Result<Value, PersistError> {
 /// Per-process counter that keeps concurrent temp names apart.
 static TMP_SEQ: AtomicU64 = AtomicU64::new(0);
 
-/// Writes `bytes` to `path` atomically: temp sibling, fsync, rename.
+/// Writes `bytes` to `path` atomically and durably: temp sibling, fsync,
+/// rename, then fsync of the parent directory so a power cut after the
+/// call cannot undo the rename.
 ///
 /// Every call writes through its own temp file,
 /// `<file name>.<pid>.<seq>.tmp`, so concurrent writers of one path
@@ -115,7 +117,9 @@ pub fn write_atomic(path: &Path, bytes: &[u8]) -> Result<(), PersistError> {
         let mut f = fs::File::create(&tmp).map_err(|e| PersistError::io(&tmp, e))?;
         f.write_all(bytes).map_err(|e| PersistError::io(&tmp, e))?;
         f.sync_all().map_err(|e| PersistError::io(&tmp, e))?;
-        fs::rename(&tmp, path).map_err(|e| PersistError::io(path, e))
+        fs::rename(&tmp, path).map_err(|e| PersistError::io(path, e))?;
+        let dir = path.parent().filter(|d| !d.as_os_str().is_empty()).unwrap_or(Path::new("."));
+        fs::File::open(dir).and_then(|d| d.sync_all()).map_err(|e| PersistError::io(dir, e))
     })();
     if written.is_err() {
         let _ = fs::remove_file(&tmp);

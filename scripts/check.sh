@@ -1,7 +1,7 @@
 #!/usr/bin/env bash
 # Repo gate: perfbench's Python self-tests, formatting, lints, rustdoc
-# warnings, build, the full test suite, and the end-to-end smoke tests in
-# smoke.sh. CI runs exactly this script (see .github/workflows/ci.yml);
+# warnings, a compile check of the perfbench harness, build, the full test
+# suite, and the end-to-end smoke tests in smoke.sh. CI runs exactly this script (see .github/workflows/ci.yml);
 # run it locally before pushing.
 set -euo pipefail
 cd "$(dirname "$0")/.."
@@ -17,6 +17,10 @@ cargo clippy --workspace --all-targets -- -D warnings
 
 echo "==> cargo doc (deny warnings)"
 RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps
+
+echo "==> cargo check perfbench/harness (a package outside the workspace)"
+CARGO_TARGET_DIR=target/perfbench-harness cargo check --locked --offline \
+    --manifest-path perfbench/harness/Cargo.toml
 
 echo "==> cargo build --release"
 cargo build --workspace --release

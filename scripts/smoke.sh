@@ -167,7 +167,7 @@ chaos_smoke "$smoke/hot" --algorithm moela "${hot[@]}"
 echo "==> delta smoke (fast path hits, 1 vs 4 threads; the parity harness catches a broken patch)"
 delta_smoke "$smoke/bfs" --algorithm moela "${bfs[@]}"
 delta_smoke "$smoke/hot" --algorithm moos "${hot[@]}"
-cargo test -q --release -p moela-manycore --test delta_parity
+# The parity suite itself runs in `cargo test --workspace` (check.sh).
 # Self-check: a deliberately broken patch path must fail the harness.
 cargo test -q --release -p moela-manycore --features delta-fault --test delta_parity
 
