@@ -86,11 +86,12 @@ fn front_objectives(front: &Value) -> Result<Vec<Vec<f64>>, CliError> {
 fn phases_value(replay: &RunReplay) -> Value {
     Value::Object(
         replay
-            .phases
+            .fold
+            .phases()
             .iter()
             .map(|(name, stat)| {
                 (
-                    name.clone(),
+                    name.to_string(),
                     Value::object(vec![
                         ("count", Value::U64(stat.count)),
                         ("total_us", Value::U64(stat.total_us)),
@@ -216,7 +217,12 @@ pub(crate) fn build_report(dir: &Path) -> Result<(Value, Value), CliError> {
         (
             "counters",
             Value::Object(
-                replay.counters.iter().map(|(n, v)| (n.clone(), Value::U64(*v))).collect(),
+                replay
+                    .fold
+                    .counters()
+                    .iter()
+                    .map(|(n, v)| (n.to_string(), Value::U64(*v)))
+                    .collect(),
             ),
         ),
         (
@@ -234,7 +240,7 @@ pub(crate) fn build_report(dir: &Path) -> Result<(Value, Value), CliError> {
                 ("legs", Value::U64(replay.legs as u64)),
                 ("torn_tail", Value::Bool(replay.torn_tail)),
                 ("unclosed_spans", Value::U64(replay.unclosed_spans)),
-                ("nesting_violations", Value::U64(replay.nesting_violations)),
+                ("nesting_violations", Value::U64(replay.fold.nesting_violations())),
                 ("wall_us", Value::U64(replay.wall_us)),
             ]),
         ),

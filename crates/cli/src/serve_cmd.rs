@@ -8,12 +8,12 @@
 //! life — so served artifacts are byte-identical to `moela-dse run`
 //! with the same configuration.
 
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::sync::Arc;
 use std::time::Duration;
 
 use moela_obs::LogLevel;
-use moela_persist::Value;
+use moela_persist::{RunStore, Value};
 use moela_serve::{
     JobContext, JobRunner, ReportBuilder, RunError, RunOutcome, ServeConfig, Server,
 };
@@ -71,18 +71,18 @@ fn normalized_spec(opts: &RunOptions) -> Value {
     Value::object(opts.encode())
 }
 
-/// True when `dir` holds at least one *completed* checkpoint file
-/// (`ckpt-NNNNNNNN.json`), ignoring atomic-write `.tmp` siblings a
-/// crash may have stranded.
-fn has_checkpoint(dir: &std::path::Path) -> bool {
-    let Ok(entries) = std::fs::read_dir(dir) else { return false };
-    entries.flatten().any(|entry| {
-        let name = entry.file_name();
-        let Some(name) = name.to_str() else { return false };
-        name.strip_prefix("ckpt-")
-            .and_then(|rest| rest.strip_suffix(".json"))
-            .is_some_and(|digits| digits.parse::<u64>().is_ok())
-    })
+/// True when `dir` is a previous life of a job: a run store (manifest)
+/// whose checkpoint rotation holds at least one completed checkpoint.
+/// Anything less is a fresh start (a job interrupted before its first
+/// checkpoint reruns from scratch — same bytes either way). The rotation
+/// only lists completed `ckpt-*.json` files: a crash mid-write leaves a
+/// `.tmp` sibling behind, and that alone must not route a job into
+/// `resume`, which would find nothing usable and fail it.
+fn resumable(dir: &Path) -> bool {
+    RunStore::open(dir)
+        .and_then(|store| store.checkpoints())
+        .and_then(|checkpoints| checkpoints.sequences())
+        .is_ok_and(|seqs| !seqs.is_empty())
 }
 
 /// The serve-side job runner backed by the CLI's own engine.
@@ -114,16 +114,7 @@ impl JobRunner for DseRunner {
             attempt: ctx.attempt,
         };
         let dir = ctx.dir.to_string_lossy().into_owned();
-        // A manifest plus at least one checkpoint means this directory is
-        // a previous life of the same job: resume it. Anything less is a
-        // fresh start (a job interrupted before its first checkpoint
-        // reruns from scratch — same bytes either way). Only completed
-        // `ckpt-*.json` files count: a crash mid-write leaves a `.tmp`
-        // sibling behind, and that alone must not route a job into
-        // `resume`, which would find nothing usable and fail it.
-        let resumable =
-            ctx.dir.join("manifest.json").is_file() && has_checkpoint(&ctx.dir.join("checkpoints"));
-        let status = if resumable {
+        let status = if resumable(ctx.dir) {
             let overrides =
                 ResumeOverrides { log_level: Some(LogLevel::Quiet), ..Default::default() };
             engine::resume(&dir, &overrides, &hooks)
@@ -185,6 +176,23 @@ mod tests {
     use moela_moo::ChaosSpec;
     use moela_serve::{JobManager, JobState, ServerMetrics, SupervisePolicy};
     use moela_traffic::Benchmark;
+
+    #[test]
+    fn only_a_manifest_with_a_completed_checkpoint_resumes() {
+        let dir = std::env::temp_dir().join(format!("moela-resumable-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let checkpoints = dir.join("checkpoints");
+        std::fs::create_dir_all(&checkpoints).unwrap();
+        std::fs::write(checkpoints.join("ckpt-00000003.json"), "{}").unwrap();
+        assert!(!resumable(&dir), "no manifest: not a run store");
+        std::fs::remove_file(checkpoints.join("ckpt-00000003.json")).unwrap();
+        std::fs::write(dir.join("manifest.json"), "{}").unwrap();
+        std::fs::write(checkpoints.join("ckpt-00000003.json.41.0.tmp"), "{").unwrap();
+        assert!(!resumable(&dir), "a stranded .tmp is not a checkpoint");
+        std::fs::write(checkpoints.join("ckpt-00000003.json"), "{}").unwrap();
+        assert!(resumable(&dir));
+        let _ = std::fs::remove_dir_all(&dir);
+    }
 
     #[test]
     fn specs_reject_unknown_keys_and_bad_values() {

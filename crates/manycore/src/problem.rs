@@ -476,7 +476,7 @@ impl Problem for ManycoreProblem {
     }
 
     fn features(&self, s: &Design) -> Vec<f64> {
-        design_features(&self.config, self.evaluator.workload(), s)
+        design_features(&self.config, &self.evaluator.flows, s)
     }
 
     fn feature_len(&self) -> usize {
@@ -488,8 +488,13 @@ impl Problem for ManycoreProblem {
 /// A cheap structural descriptor of a design (no routing, no objective
 /// evaluation): per-kind placement statistics, link-length and degree
 /// statistics, per-layer link distribution, and traffic-weighted placement
-/// distances. Input features of MOELA's learned `Eval`.
-pub fn design_features(config: &PlatformConfig, workload: &Workload, d: &Design) -> Vec<f64> {
+/// distances. Input features of MOELA's learned `Eval`. `flows` is the
+/// workload's `(src PE, dst PE, f)` list ([`Workload::flows`]).
+pub fn design_features(
+    config: &PlatformConfig,
+    flows: &[(usize, usize, f64)],
+    d: &Design,
+) -> Vec<f64> {
     let dims = &config.dims;
     let mix = config.pe_mix();
     let mut out = Vec::with_capacity(32);
@@ -564,7 +569,7 @@ pub fn design_features(config: &PlatformConfig, workload: &Workload, d: &Design)
     };
     let mut weighted = 0.0;
     let mut flow_total = 0.0;
-    for (i, j, f) in workload.flows() {
+    for &(i, j, f) in flows {
         weighted += f * manhattan(d.placement.tile_of(i), d.placement.tile_of(j));
         flow_total += f;
     }
@@ -701,6 +706,31 @@ mod tests {
             let f = p.features(&d);
             assert_eq!(f.len(), p.feature_len());
             assert!(f.iter().all(|v| v.is_finite()));
+        }
+    }
+
+    /// The surrogate's inputs are part of the determinism contract: a
+    /// reordered float sum would change every fitted forest. The FNV-1a
+    /// hashes of the feature bits were recorded from the implementation
+    /// that rebuilt the flow list per call.
+    #[test]
+    fn features_are_bit_pinned_on_paper_designs() {
+        let pinned = [
+            (Benchmark::Hot, 0x671f_089b_5c93_48c0u64),
+            (Benchmark::Bfs, 0xa6b7_f7e9_a855_4801),
+            (Benchmark::Sc, 0xf833_ed2f_77a5_b980),
+        ];
+        for (benchmark, hash) in pinned {
+            let config = PlatformConfig::paper();
+            let workload = Workload::synthesize(benchmark, config.pe_mix(), 3);
+            let p = ManycoreProblem::new(config, workload, ObjectiveSet::Three).expect("valid");
+            let d = p.random_solution(&mut rand::rngs::StdRng::seed_from_u64(17));
+            let features = p.features(&d);
+            assert_eq!(features.len(), 32);
+            let got = features.iter().fold(0xcbf2_9ce4_8422_2325u64, |h, v| {
+                (h ^ v.to_bits()).wrapping_mul(0x0000_0100_0000_01b3)
+            });
+            assert_eq!(got, hash, "{benchmark:?} features moved");
         }
     }
 

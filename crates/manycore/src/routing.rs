@@ -39,6 +39,17 @@ impl RoutingTable {
     /// Panics if the topology is disconnected (the §III connectivity
     /// constraint guarantees this never happens for feasible designs).
     pub fn build(dims: &GridDims, topology: &Topology, params: &NocParams) -> Self {
+        Self::route(dims, topology, params, |_| None)
+    }
+
+    /// Builds the table for `topology` row by row: `kept(src)` may supply
+    /// a source's row unchanged, every other row runs Dijkstra.
+    fn route(
+        dims: &GridDims,
+        topology: &Topology,
+        params: &NocParams,
+        mut kept: impl FnMut(usize) -> Option<DijkstraOut>,
+    ) -> Self {
         let n = dims.tiles();
         let link_cost: Vec<f64> = topology
             .links()
@@ -53,8 +64,14 @@ impl RoutingTable {
         let mut hops = Vec::with_capacity(n);
         let mut wire = Vec::with_capacity(n);
         for src in 0..n {
-            let (p, c, h, w) = dijkstra(src, n, topology, &link_cost, &link_delay);
-            assert!(c.iter().all(|v| v.is_finite()), "topology must be connected before routing");
+            let (p, c, h, w) = kept(src).unwrap_or_else(|| {
+                let row = dijkstra(src, n, topology, &link_cost, &link_delay);
+                assert!(
+                    row.1.iter().all(|v| v.is_finite()),
+                    "topology must be connected before routing"
+                );
+                row
+            });
             parent.push(p);
             cost.push(c);
             hops.push(h);
@@ -157,7 +174,8 @@ impl RoutingTable {
     ///
     /// # Panics
     ///
-    /// Panics if `new_topology` is disconnected.
+    /// Panics if `new_topology` is disconnected or `affected` has fewer
+    /// entries than there are tiles.
     pub fn repair_rewire(
         &self,
         dims: &GridDims,
@@ -165,40 +183,12 @@ impl RoutingTable {
         affected: &[bool],
         params: &NocParams,
     ) -> Self {
-        let n = self.n;
-        let link_cost: Vec<f64> = new_topology
-            .links()
-            .iter()
-            .map(|l| params.router_stages + l.length(dims) * params.link_delay_per_unit)
-            .collect();
-        let link_delay: Vec<f64> = new_topology
-            .links()
-            .iter()
-            .map(|l| l.length(dims) * params.link_delay_per_unit)
-            .collect();
-        let mut parent = Vec::with_capacity(n);
-        let mut cost = Vec::with_capacity(n);
-        let mut hops = Vec::with_capacity(n);
-        let mut wire = Vec::with_capacity(n);
-        for (src, &is_affected) in affected.iter().enumerate().take(n) {
-            if is_affected {
-                let (p, c, h, w) = dijkstra(src, n, new_topology, &link_cost, &link_delay);
-                assert!(
-                    c.iter().all(|v| v.is_finite()),
-                    "topology must be connected before routing"
-                );
-                parent.push(p);
-                cost.push(c);
-                hops.push(h);
-                wire.push(w);
-            } else {
-                parent.push(self.parent[src].clone());
-                cost.push(self.cost[src].clone());
-                hops.push(self.hops[src].clone());
-                wire.push(self.wire_delay[src].clone());
-            }
-        }
-        Self { n, parent, cost, hops, wire_delay: wire }
+        Self::route(dims, new_topology, params, |src| {
+            (!affected[src]).then(|| {
+                let (p, c, h, w) = (&self.parent, &self.cost, &self.hops, &self.wire_delay);
+                (p[src].clone(), c[src].clone(), h[src].clone(), w[src].clone())
+            })
+        })
     }
 }
 

@@ -1,26 +1,14 @@
 //! In-memory aggregation of the event stream into `metrics.json`.
 
+use crate::fold::Fold;
 use crate::hist::LogHistogram;
 use crate::{Event, Sink};
 use moela_persist::Value;
 
-#[derive(Debug, Default, Clone)]
-struct PhaseStat {
-    count: u64,
-    total_us: u64,
-    self_us: u64,
-    hist: LogHistogram,
-}
-
-#[derive(Debug)]
-struct Frame {
-    id: u64,
-    child_us: u64,
-}
-
-/// Folds the event stream into per-phase wall-clock statistics (self and
-/// total time via the span stack), counters, gauges, a per-generation
-/// hypervolume series, and per-phase latency histograms. Render the
+/// The live [`Sink`] behind `metrics.json`: drives the shared [`Fold`]
+/// (per-phase self/total time, counters, gauges) with a log-scale
+/// latency histogram per phase, and additionally keeps the per-generation
+/// hypervolume series and the process wall-clock window. Render the
 /// result with [`MetricsAggregator::render`].
 ///
 /// Everything here is process-local: after a resume only post-resume
@@ -28,14 +16,10 @@ struct Frame {
 /// in this process.
 #[derive(Debug, Default)]
 pub struct MetricsAggregator {
-    phases: Vec<(&'static str, PhaseStat)>,
-    counters: Vec<(&'static str, u64)>,
-    gauges: Vec<(&'static str, f64)>,
+    fold: Fold<LogHistogram>,
     phv_series: Vec<f64>,
-    stack: Vec<Frame>,
     first_t_us: Option<u64>,
     last_t_us: u64,
-    nesting_violations: u64,
 }
 
 impl MetricsAggregator {
@@ -44,23 +28,9 @@ impl MetricsAggregator {
         Self::default()
     }
 
-    fn phase_mut(&mut self, name: &'static str) -> &mut PhaseStat {
-        if let Some(idx) = self.phases.iter().position(|(n, _)| *n == name) {
-            &mut self.phases[idx].1
-        } else {
-            self.phases.push((name, PhaseStat::default()));
-            &mut self.phases.last_mut().expect("just pushed").1
-        }
-    }
-
     /// Current value of a counter (0 when never incremented).
     pub fn counter(&self, name: &str) -> u64 {
-        self.counters.iter().find(|(n, _)| *n == name).map_or(0, |(_, v)| *v)
-    }
-
-    /// Span enter/exit pairs seen out of order (0 in a well-formed run).
-    pub fn nesting_violations(&self) -> u64 {
-        self.nesting_violations
+        self.fold.counter(name)
     }
 
     /// Wall-clock span of the aggregated events in microseconds.
@@ -68,9 +38,14 @@ impl MetricsAggregator {
         self.last_t_us.saturating_sub(self.first_t_us.unwrap_or(0))
     }
 
-    /// Current value of a gauge (`None` when never set).
-    pub fn gauge(&self, name: &str) -> Option<f64> {
-        self.gauges.iter().find(|(n, _)| *n == name).map(|(_, v)| *v)
+    fn evals_per_sec(&self) -> f64 {
+        let wall_us = self.wall_us();
+        let evaluations = self.counter("evaluations");
+        if wall_us > 0 {
+            evaluations as f64 / (wall_us as f64 / 1e6)
+        } else {
+            0.0
+        }
     }
 
     /// A cheap live snapshot for polling while a run is still in flight
@@ -80,17 +55,13 @@ impl MetricsAggregator {
     /// call at any event boundary; [`MetricsAggregator::render`] remains
     /// the full end-of-run report.
     pub fn summary(&self) -> Value {
-        let wall_us = self.wall_us();
-        let evaluations = self.counter("evaluations");
-        let evals_per_sec =
-            if wall_us > 0 { evaluations as f64 / (wall_us as f64 / 1e6) } else { 0.0 };
         let mut fields = vec![
-            ("wall_us", Value::U64(wall_us)),
-            ("evaluations", Value::U64(evaluations)),
+            ("wall_us", Value::U64(self.wall_us())),
+            ("evaluations", Value::U64(self.counter("evaluations"))),
             ("generations", Value::U64(self.counter("generations"))),
-            ("evals_per_sec", Value::F64(evals_per_sec)),
+            ("evals_per_sec", Value::F64(self.evals_per_sec())),
         ];
-        if let Some(phv) = self.gauge("phv") {
+        if let Some(phv) = self.fold.gauge("phv") {
             fields.push(("phv", Value::F64(phv)));
         }
         Value::object(fields)
@@ -98,12 +69,9 @@ impl MetricsAggregator {
 
     /// Render the aggregate as the body of `metrics.json`.
     pub fn render(&self) -> Value {
-        let wall_us = self.wall_us();
-        let evaluations = self.counter("evaluations");
-        let evals_per_sec =
-            if wall_us > 0 { evaluations as f64 / (wall_us as f64 / 1e6) } else { 0.0 };
         let phases = Value::Object(
-            self.phases
+            self.fold
+                .phases()
                 .iter()
                 .map(|(name, stat)| {
                     (
@@ -112,22 +80,22 @@ impl MetricsAggregator {
                             ("count", Value::U64(stat.count)),
                             ("total_us", Value::U64(stat.total_us)),
                             ("self_us", Value::U64(stat.self_us)),
-                            ("max_us", Value::U64(stat.hist.max())),
-                            ("latency_hist", stat.hist.to_value()),
+                            ("max_us", Value::U64(stat.max_us)),
+                            ("latency_hist", stat.durations.to_value()),
                         ]),
                     )
                 })
                 .collect(),
         );
         let counters = Value::Object(
-            self.counters.iter().map(|(n, v)| (n.to_string(), Value::U64(*v))).collect(),
+            self.fold.counters().iter().map(|(n, v)| (n.to_string(), Value::U64(*v))).collect(),
         );
         let gauges = Value::Object(
-            self.gauges.iter().map(|(n, v)| (n.to_string(), Value::F64(*v))).collect(),
+            self.fold.gauges().iter().map(|(n, v)| (n.to_string(), Value::F64(*v))).collect(),
         );
         Value::object(vec![
-            ("wall_us", Value::U64(wall_us)),
-            ("evals_per_sec", Value::F64(evals_per_sec)),
+            ("wall_us", Value::U64(self.wall_us())),
+            ("evals_per_sec", Value::F64(self.evals_per_sec())),
             ("phases", phases),
             ("counters", counters),
             ("gauges", gauges),
@@ -135,7 +103,7 @@ impl MetricsAggregator {
                 "phv_per_generation",
                 Value::Array(self.phv_series.iter().map(|&v| Value::F64(v)).collect()),
             ),
-            ("nesting_violations", Value::U64(self.nesting_violations)),
+            ("nesting_violations", Value::U64(self.fold.nesting_violations())),
         ])
     }
 }
@@ -145,46 +113,11 @@ impl Sink for MetricsAggregator {
         let t_us = event.t_us();
         self.first_t_us.get_or_insert(t_us);
         self.last_t_us = self.last_t_us.max(t_us);
-        match event {
-            Event::SpanEnter { id, .. } => {
-                self.stack.push(Frame { id: *id, child_us: 0 });
+        self.fold.record(event);
+        if let Event::Gauge { name, value, .. } = event {
+            if name == "phv" {
+                self.phv_series.push(*value);
             }
-            Event::SpanExit { id, name, dur_us, .. } => {
-                let child_us = match self.stack.pop() {
-                    Some(frame) if frame.id == *id => frame.child_us,
-                    Some(_) | None => {
-                        self.nesting_violations += 1;
-                        self.stack.clear();
-                        0
-                    }
-                };
-                if let Some(parent) = self.stack.last_mut() {
-                    parent.child_us = parent.child_us.saturating_add(*dur_us);
-                }
-                let stat = self.phase_mut(name);
-                stat.count += 1;
-                stat.total_us = stat.total_us.saturating_add(*dur_us);
-                stat.self_us = stat.self_us.saturating_add(dur_us.saturating_sub(child_us));
-                stat.hist.record(*dur_us);
-            }
-            Event::Counter { name, delta, .. } => {
-                if let Some(entry) = self.counters.iter_mut().find(|(n, _)| n == name) {
-                    entry.1 = entry.1.saturating_add(*delta);
-                } else {
-                    self.counters.push((name, *delta));
-                }
-            }
-            Event::Gauge { name, value, .. } => {
-                if let Some(entry) = self.gauges.iter_mut().find(|(n, _)| n == name) {
-                    entry.1 = *value;
-                } else {
-                    self.gauges.push((name, *value));
-                }
-                if *name == "phv" {
-                    self.phv_series.push(*value);
-                }
-            }
-            Event::Marker { .. } => {}
         }
     }
 }
@@ -193,37 +126,13 @@ impl Sink for MetricsAggregator {
 mod tests {
     use super::*;
 
-    fn exit(id: u64, name: &'static str, t_us: u64, dur_us: u64) -> Event {
-        Event::SpanExit { id, name, depth: 0, t_us, dur_us }
-    }
-
-    fn enter(id: u64, name: &'static str, t_us: u64) -> Event {
-        Event::SpanEnter { id, name, depth: 0, t_us }
-    }
-
-    #[test]
-    fn self_time_excludes_nested_children() {
-        let mut agg = MetricsAggregator::new();
-        agg.record(&enter(1, "step", 0));
-        agg.record(&enter(2, "evaluate", 10));
-        agg.record(&exit(2, "evaluate", 40, 30));
-        agg.record(&exit(1, "step", 100, 100));
-        let v = agg.render();
-        let step = v.field("phases").unwrap().field("step").unwrap();
-        assert_eq!(step.field("total_us").unwrap().as_u64().unwrap(), 100);
-        assert_eq!(step.field("self_us").unwrap().as_u64().unwrap(), 70);
-        let eval = v.field("phases").unwrap().field("evaluate").unwrap();
-        assert_eq!(eval.field("self_us").unwrap().as_u64().unwrap(), 30);
-        assert_eq!(agg.nesting_violations(), 0);
-    }
-
     #[test]
     fn counters_accumulate_and_gauges_keep_last_value() {
         let mut agg = MetricsAggregator::new();
-        agg.record(&Event::Counter { name: "evaluations", delta: 5, t_us: 0 });
-        agg.record(&Event::Counter { name: "evaluations", delta: 7, t_us: 1 });
-        agg.record(&Event::Gauge { name: "phv", value: 0.25, t_us: 2 });
-        agg.record(&Event::Gauge { name: "phv", value: 0.75, t_us: 3 });
+        agg.record(&Event::Counter { name: "evaluations".into(), delta: 5, t_us: 0 });
+        agg.record(&Event::Counter { name: "evaluations".into(), delta: 7, t_us: 1 });
+        agg.record(&Event::Gauge { name: "phv".into(), value: 0.25, t_us: 2 });
+        agg.record(&Event::Gauge { name: "phv".into(), value: 0.75, t_us: 3 });
         assert_eq!(agg.counter("evaluations"), 12);
         let v = agg.render();
         let phv = v.field("gauges").unwrap().field("phv").unwrap().as_f64().unwrap();
@@ -237,8 +146,8 @@ mod tests {
         let mut agg = MetricsAggregator::new();
         // Window opens at 1_000_000us; a resumed process must not count
         // time before its first event.
-        agg.record(&Event::Counter { name: "evaluations", delta: 100, t_us: 1_000_000 });
-        agg.record(&Event::Counter { name: "evaluations", delta: 100, t_us: 2_000_000 });
+        agg.record(&Event::Counter { name: "evaluations".into(), delta: 100, t_us: 1_000_000 });
+        agg.record(&Event::Counter { name: "evaluations".into(), delta: 100, t_us: 2_000_000 });
         let v = agg.render();
         let rate = v.field("evals_per_sec").unwrap().as_f64().unwrap();
         assert!((rate - 200.0).abs() < 1e-9, "rate {rate}");
@@ -250,9 +159,9 @@ mod tests {
         let v = agg.summary();
         assert_eq!(v.field("evaluations").unwrap().as_u64().unwrap(), 0);
         assert!(v.field_opt("phv").is_none());
-        agg.record(&Event::Counter { name: "evaluations", delta: 50, t_us: 0 });
-        agg.record(&Event::Counter { name: "generations", delta: 2, t_us: 100 });
-        agg.record(&Event::Gauge { name: "phv", value: 0.5, t_us: 1_000_000 });
+        agg.record(&Event::Counter { name: "evaluations".into(), delta: 50, t_us: 0 });
+        agg.record(&Event::Counter { name: "generations".into(), delta: 2, t_us: 100 });
+        agg.record(&Event::Gauge { name: "phv".into(), value: 0.5, t_us: 1_000_000 });
         let v = agg.summary();
         assert_eq!(v.field("evaluations").unwrap().as_u64().unwrap(), 50);
         assert_eq!(v.field("generations").unwrap().as_u64().unwrap(), 2);
@@ -260,13 +169,5 @@ mod tests {
         assert!((rate - 50.0).abs() < 1e-9, "rate {rate}");
         assert_eq!(v.field("phv").unwrap().as_f64().unwrap(), 0.5);
         assert!(v.field_opt("phases").is_none(), "summary must stay lightweight");
-    }
-
-    #[test]
-    fn mismatched_exit_is_counted_not_propagated() {
-        let mut agg = MetricsAggregator::new();
-        agg.record(&enter(1, "step", 0));
-        agg.record(&exit(99, "evaluate", 5, 5));
-        assert_eq!(agg.nesting_violations(), 1);
     }
 }

@@ -89,11 +89,11 @@ mod tests {
     #[test]
     fn event_lines_round_trip_through_the_decoder() {
         let events = [
-            Event::SpanEnter { id: 1, name: "evaluate", depth: 1, t_us: 5 },
-            Event::SpanExit { id: 1, name: "evaluate", depth: 1, t_us: 9, dur_us: 4 },
-            Event::Counter { name: "evaluations", delta: 8, t_us: 9 },
-            Event::Gauge { name: "phv", value: 0.5, t_us: 10 },
-            Event::Marker { name: "run_start", detail: "moela".to_string(), t_us: 0 },
+            Event::SpanEnter { id: 1, name: "evaluate".into(), depth: 1, t_us: 5 },
+            Event::SpanExit { id: 1, name: "evaluate".into(), depth: 1, t_us: 9, dur_us: 4 },
+            Event::Counter { name: "evaluations".into(), delta: 8, t_us: 9 },
+            Event::Gauge { name: "phv".into(), value: 0.5, t_us: 10 },
+            Event::Marker { name: "run_start".into(), detail: "moela".to_string(), t_us: 0 },
         ];
         for event in &events {
             let line = encode::to_string(&event_value(event));
@@ -111,7 +111,11 @@ mod tests {
         let _ = std::fs::remove_file(&path);
         for round in 0..2u64 {
             let mut sink = JsonlSink::append(&path).unwrap();
-            sink.record(&Event::Marker { name: "run_start", detail: round.to_string(), t_us: 0 });
+            sink.record(&Event::Marker {
+                name: "run_start".into(),
+                detail: round.to_string(),
+                t_us: 0,
+            });
             sink.flush();
         }
         let text = std::fs::read_to_string(&path).unwrap();

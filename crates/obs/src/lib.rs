@@ -1,6 +1,6 @@
 //! Structured tracing, phase metrics, and live progress for optimizer runs.
 //!
-//! The crate is built around three small pieces:
+//! The crate is built around a few small pieces:
 //!
 //! * [`Obs`] — a cloneable handle the driver threads through every
 //!   optimizer. It emits [`Event`]s (span enter/exit, counters, gauges,
@@ -8,19 +8,24 @@
 //!   ([`Obs::disabled`]) is a bare `Option` check: no allocation, no
 //!   locking, no clock reads on the hot path.
 //! * Sinks — [`JsonlSink`] appends one JSON object per event to
-//!   `events.jsonl` inside the run store; [`MetricsAggregator`] folds the
-//!   same stream into per-phase self/total wall-clock time, counters,
-//!   gauges, and log-scale latency histograms, rendered as the
-//!   `metrics.json` document; [`NullSink`] discards everything (useful
-//!   for overhead measurement).
+//!   `events.jsonl` inside the run store; [`MetricsAggregator`] renders
+//!   the same stream as the `metrics.json` document, with log-scale
+//!   latency histograms; [`NullSink`] discards everything (useful for
+//!   overhead measurement).
+//! * One fold — [`fold::Fold`] owns the span stack, per-phase self/total
+//!   time, counters, gauges and nesting violations. The live
+//!   [`MetricsAggregator`] and the offline [`replay`] both drive it, so
+//!   `metrics.json` and `report.json` compute these numbers with the
+//!   same code.
 //! * Human output — [`ProgressReporter`] paints a rate-limited live
 //!   status line on stderr, and [`Reporter`] routes status text through
 //!   `--log-level {quiet,info,debug}`.
-//! * Offline analysis — [`replay`] streams `events.jsonl` back into
-//!   validated per-phase statistics with exact quantiles (tolerating
-//!   the torn tail a SIGKILL leaves behind), and [`chrome`] exports the
-//!   replayed span stream as a Perfetto-viewable Chrome trace with
-//!   per-worker evaluation lanes.
+//! * Offline analysis — [`replay`] parses `events.jsonl` back into
+//!   [`Event`]s and folds them into validated per-phase statistics with
+//!   exact quantiles (tolerating the torn tail a SIGKILL leaves behind,
+//!   and stitching resumed legs onto one timeline), and [`chrome`]
+//!   exports the replayed span stream as a Perfetto-viewable Chrome
+//!   trace with per-worker evaluation lanes.
 //!
 //! Determinism rule: observability data is wall-clock tainted and flows
 //! **only** to `events.jsonl`, `metrics.json`, and stderr. Nothing in
@@ -29,6 +34,7 @@
 
 pub mod agg;
 pub mod chrome;
+pub mod fold;
 pub mod hist;
 pub mod jsonl;
 pub mod names;
@@ -41,29 +47,32 @@ pub use chrome::chrome_trace;
 pub use hist::LogHistogram;
 pub use jsonl::{event_value, JsonlSink};
 pub use progress::ProgressReporter;
-pub use replay::{replay_run_dir, PhaseReplay, ReplayError, ReplayEvent, RunReplay, SpanRecord};
+pub use replay::{replay_run_dir, PhaseReplay, ReplayError, RunReplay, SpanRecord};
 pub use report::{LogLevel, Reporter};
 
+use std::borrow::Cow;
 use std::sync::atomic::{AtomicU32, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
 /// One observability event. Timestamps (`t_us`) are microseconds since
 /// the handle's epoch (process-local, monotonic, never persisted into
-/// optimizer state).
+/// optimizer state). Names are borrowed `&'static str`s when [`Obs`]
+/// emits them and owned strings when [`replay::parse_line`] reads them
+/// back from `events.jsonl`.
 #[derive(Debug, Clone, PartialEq)]
 pub enum Event {
     /// A phase span opened. `depth` is the nesting depth *after* entering
     /// (the outermost span has depth 1).
-    SpanEnter { id: u64, name: &'static str, depth: u32, t_us: u64 },
+    SpanEnter { id: u64, name: Cow<'static, str>, depth: u32, t_us: u64 },
     /// The matching span closed; `dur_us` is its wall-clock duration.
-    SpanExit { id: u64, name: &'static str, depth: u32, t_us: u64, dur_us: u64 },
+    SpanExit { id: u64, name: Cow<'static, str>, depth: u32, t_us: u64, dur_us: u64 },
     /// A monotonically accumulating count (e.g. `evaluations`).
-    Counter { name: &'static str, delta: u64, t_us: u64 },
+    Counter { name: Cow<'static, str>, delta: u64, t_us: u64 },
     /// A point-in-time measurement (e.g. `phv`, `archive_size`).
-    Gauge { name: &'static str, value: f64, t_us: u64 },
+    Gauge { name: Cow<'static, str>, value: f64, t_us: u64 },
     /// A one-off annotation (e.g. `run_start`, `resume`).
-    Marker { name: &'static str, detail: String, t_us: u64 },
+    Marker { name: Cow<'static, str>, detail: String, t_us: u64 },
 }
 
 impl Event {
@@ -159,7 +168,7 @@ impl Obs {
         let depth = inner.depth.fetch_add(1, Ordering::Relaxed) + 1;
         let start = Instant::now();
         let t_us = duration_us(inner.epoch, start);
-        emit(inner, &Event::SpanEnter { id, name, depth, t_us });
+        emit(inner, &Event::SpanEnter { id, name: name.into(), depth, t_us });
         SpanGuard { active: Some(ActiveSpan { inner: Arc::clone(inner), id, name, depth, start }) }
     }
 
@@ -167,7 +176,7 @@ impl Obs {
     pub fn counter(&self, name: &'static str, delta: u64) {
         if let Some(inner) = &self.inner {
             let t_us = duration_us(inner.epoch, Instant::now());
-            emit(inner, &Event::Counter { name, delta, t_us });
+            emit(inner, &Event::Counter { name: name.into(), delta, t_us });
         }
     }
 
@@ -175,7 +184,7 @@ impl Obs {
     pub fn gauge(&self, name: &'static str, value: f64) {
         if let Some(inner) = &self.inner {
             let t_us = duration_us(inner.epoch, Instant::now());
-            emit(inner, &Event::Gauge { name, value, t_us });
+            emit(inner, &Event::Gauge { name: name.into(), value, t_us });
         }
     }
 
@@ -183,7 +192,7 @@ impl Obs {
     pub fn marker(&self, name: &'static str, detail: &str) {
         if let Some(inner) = &self.inner {
             let t_us = duration_us(inner.epoch, Instant::now());
-            emit(inner, &Event::Marker { name, detail: detail.to_string(), t_us });
+            emit(inner, &Event::Marker { name: name.into(), detail: detail.to_string(), t_us });
         }
     }
 
@@ -226,15 +235,14 @@ pub struct SpanGuard {
 
 impl Drop for SpanGuard {
     fn drop(&mut self) {
-        let Some(span) = self.active.take() else { return };
+        let Some(ActiveSpan { inner, id, name, depth, start }) = self.active.take() else {
+            return;
+        };
         let now = Instant::now();
-        let t_us = duration_us(span.inner.epoch, now);
-        let dur_us = duration_us(span.start, now);
-        span.inner.depth.fetch_sub(1, Ordering::Relaxed);
-        emit(
-            &span.inner,
-            &Event::SpanExit { id: span.id, name: span.name, depth: span.depth, t_us, dur_us },
-        );
+        let t_us = duration_us(inner.epoch, now);
+        let dur_us = duration_us(start, now);
+        inner.depth.fetch_sub(1, Ordering::Relaxed);
+        emit(&inner, &Event::SpanExit { id, name: name.into(), depth, t_us, dur_us });
     }
 }
 
@@ -320,22 +328,18 @@ mod tests {
         }
         let events = &handle.lock().unwrap().events;
         assert_eq!(events.len(), 4);
-        let Event::SpanEnter { id: outer_id, name: "step", depth: 1, .. } = events[0] else {
-            panic!("unexpected first event: {:?}", events[0]);
+        let span = |event: &Event| match event {
+            Event::SpanEnter { id, name, depth, .. } => ("enter", *id, name.to_string(), *depth),
+            Event::SpanExit { id, name, depth, .. } => ("exit", *id, name.to_string(), *depth),
+            other => panic!("unexpected event: {other:?}"),
         };
-        let Event::SpanEnter { id: inner_id, name: "evaluate", depth: 2, .. } = events[1] else {
-            panic!("unexpected second event: {:?}", events[1]);
-        };
+        let [outer, inner, exit_inner, exit_outer] = [0, 1, 2, 3].map(|i| span(&events[i]));
+        assert_eq!((outer.0, outer.2.as_str(), outer.3), ("enter", "step", 1));
+        assert_eq!((inner.0, inner.2.as_str(), inner.3), ("enter", "evaluate", 2));
         // Inner guard drops first.
-        let Event::SpanExit { id: exit_inner, depth: 2, .. } = events[2] else {
-            panic!("unexpected third event: {:?}", events[2]);
-        };
-        let Event::SpanExit { id: exit_outer, depth: 1, .. } = events[3] else {
-            panic!("unexpected fourth event: {:?}", events[3]);
-        };
-        assert_eq!(inner_id, exit_inner);
-        assert_eq!(outer_id, exit_outer);
-        assert_ne!(outer_id, inner_id);
+        assert_eq!((exit_inner.0, exit_inner.1, exit_inner.3), ("exit", inner.1, 2));
+        assert_eq!((exit_outer.0, exit_outer.1, exit_outer.3), ("exit", outer.1, 1));
+        assert_ne!(outer.1, inner.1);
     }
 
     #[test]
@@ -353,11 +357,11 @@ mod tests {
             assert_eq!(capture.events.len(), 3);
             assert_eq!(capture.flushes, 1);
             assert!(matches!(
-                capture.events[0],
-                Event::Counter { name: "evaluations", delta: 7, .. }
+                &capture.events[0],
+                Event::Counter { name, delta: 7, .. } if name == "evaluations"
             ));
-            assert!(matches!(capture.events[1], Event::Gauge { name: "phv", .. }));
-            assert!(matches!(capture.events[2], Event::Marker { name: "resume", .. }));
+            assert!(matches!(&capture.events[1], Event::Gauge { name, .. } if name == "phv"));
+            assert!(matches!(&capture.events[2], Event::Marker { name, .. } if name == "resume"));
         }
     }
 

@@ -1,12 +1,13 @@
 //! Offline replay of `events.jsonl` — the read side of the event log.
 //!
 //! [`JsonlSink`](crate::JsonlSink) writes one JSON object per event;
-//! this module streams those lines back into typed [`ReplayEvent`]s and
-//! folds them into a [`RunReplay`]: exact per-phase durations (so
-//! reports get true p50/p90/p99, not histogram-bucket interpolation),
-//! counter/gauge totals and series, completed spans for the Chrome
-//! trace exporter, and structural validation (span pairing, timestamp
-//! monotonicity).
+//! this module parses those lines back into the same [`Event`] type and
+//! drives the shared [`Fold`] with them, exactly as the live
+//! [`MetricsAggregator`](crate::MetricsAggregator) does. On top of the
+//! fold a [`RunReplay`] keeps what only the report renders: every span
+//! duration (so reports get true p50/p90/p99, not histogram-bucket
+//! interpolation), counter/gauge series, completed spans for the Chrome
+//! trace exporter, and structural validation (unclosed spans, legs).
 //!
 //! Two realities of the log shape this reader must absorb:
 //!
@@ -26,82 +27,14 @@ use std::fmt;
 use std::io::BufRead;
 use std::path::Path;
 
-use moela_persist::{decode, Value};
+use moela_persist::decode;
+
+use crate::fold::{Fold, Phase};
+use crate::Event;
 
 /// Cosmetic gap inserted between legs on the stitched global timeline,
 /// so a resumed run's legs render as visibly separate bursts.
 pub const LEG_GAP_US: u64 = 1_000;
-
-/// One decoded `events.jsonl` line. The owned-`String` twin of
-/// [`Event`](crate::Event): the writer interns `&'static str` names,
-/// but a reader gets whatever the file says.
-#[derive(Debug, Clone, PartialEq)]
-pub enum ReplayEvent {
-    /// A phase span opened.
-    SpanEnter {
-        /// Writer-assigned span id (unique within one leg).
-        id: u64,
-        /// Phase name.
-        name: String,
-        /// Nesting depth after entering (outermost is 1).
-        depth: u32,
-        /// Microseconds since the writing process's epoch.
-        t_us: u64,
-    },
-    /// A phase span closed.
-    SpanExit {
-        /// Id matching the corresponding enter.
-        id: u64,
-        /// Phase name.
-        name: String,
-        /// Nesting depth before exiting.
-        depth: u32,
-        /// Microseconds since the writing process's epoch.
-        t_us: u64,
-        /// Span duration in microseconds.
-        dur_us: u64,
-    },
-    /// A monotone counter increment.
-    Counter {
-        /// Counter name.
-        name: String,
-        /// Increment.
-        delta: u64,
-        /// Microseconds since the writing process's epoch.
-        t_us: u64,
-    },
-    /// A point-in-time gauge sample.
-    Gauge {
-        /// Gauge name.
-        name: String,
-        /// Sampled value.
-        value: f64,
-        /// Microseconds since the writing process's epoch.
-        t_us: u64,
-    },
-    /// A one-off annotation.
-    Marker {
-        /// Marker name.
-        name: String,
-        /// Free-form detail text.
-        detail: String,
-        /// Microseconds since the writing process's epoch.
-        t_us: u64,
-    },
-}
-
-impl ReplayEvent {
-    /// The event timestamp (microseconds since its leg's epoch).
-    pub fn t_us(&self) -> u64 {
-        match self {
-            ReplayEvent::SpanEnter { t_us, .. }
-            | ReplayEvent::SpanExit { t_us, .. }
-            | ReplayEvent::Counter { t_us, .. }
-            | ReplayEvent::Gauge { t_us, .. }
-            | ReplayEvent::Marker { t_us, .. } => *t_us,
-        }
-    }
-}
 
 /// Why a replay failed: a malformed line *before* the tail (torn tails
 /// are tolerated, not errors) or an unreadable file.
@@ -125,21 +58,9 @@ impl fmt::Display for ReplayError {
 
 impl std::error::Error for ReplayError {}
 
-/// Exact replayed statistics for one phase. Mirrors the live
-/// aggregator's bookkeeping (count/total/self/max via the span stack)
-/// but additionally keeps every duration, so quantiles are exact.
-#[derive(Debug, Default, Clone)]
-pub struct PhaseReplay {
-    /// Completed spans.
-    pub count: u64,
-    /// Summed span durations (including child spans).
-    pub total_us: u64,
-    /// Summed durations minus time attributed to child spans.
-    pub self_us: u64,
-    /// Longest single span.
-    pub max_us: u64,
-    durations: Vec<u64>,
-}
+/// Replayed statistics for one phase: the fold's count/total/self/max
+/// plus every duration, so quantiles are exact.
+pub type PhaseReplay = Phase<Vec<u64>>;
 
 impl PhaseReplay {
     /// Exact nearest-rank quantile over the recorded durations
@@ -152,11 +73,6 @@ impl PhaseReplay {
         }
         let rank = (q * sorted.len() as f64).ceil() as usize;
         sorted[rank.clamp(1, sorted.len()) - 1]
-    }
-
-    /// Every recorded duration, unordered.
-    pub fn durations_us(&self) -> &[u64] {
-        &self.durations
     }
 }
 
@@ -188,14 +104,9 @@ pub struct RunReplay {
     /// Spans still open when their leg ended (events lost to a crash
     /// between flushes, or cut off by the torn tail).
     pub unclosed_spans: u64,
-    /// Span exits that did not match the innermost open span.
-    pub nesting_violations: u64,
-    /// Per-phase statistics, in first-seen order.
-    pub phases: Vec<(String, PhaseReplay)>,
-    /// Counter totals, in first-seen order.
-    pub counters: Vec<(String, u64)>,
-    /// Final gauge values, in first-seen order.
-    pub gauges: Vec<(String, f64)>,
+    /// Per-phase statistics, counter totals, final gauge values and
+    /// nesting violations — the fold `metrics.json` is rendered from too.
+    pub fold: Fold<Vec<u64>>,
     /// Every gauge sample as `(name, global t, value)`, in file order.
     pub gauge_events: Vec<(String, u64, f64)>,
     /// Every counter increment as `(name, global t, delta)`, in file
@@ -213,81 +124,61 @@ pub struct RunReplay {
 impl RunReplay {
     /// Counter total (0 when never incremented).
     pub fn counter(&self, name: &str) -> u64 {
-        self.counters.iter().find(|(n, _)| n == name).map_or(0, |(_, v)| *v)
+        self.fold.counter(name)
     }
 
     /// Final gauge value (`None` when never set).
     pub fn gauge(&self, name: &str) -> Option<f64> {
-        self.gauges.iter().find(|(n, _)| n == name).map(|(_, v)| *v)
+        self.fold.gauge(name)
     }
 
     /// Phase statistics by name.
     pub fn phase(&self, name: &str) -> Option<&PhaseReplay> {
-        self.phases.iter().find(|(n, _)| n == name).map(|(_, p)| p)
+        self.fold.phase(name)
     }
 
     /// True when span pairing and nesting validated clean.
     pub fn is_structurally_clean(&self) -> bool {
-        self.unclosed_spans == 0 && self.nesting_violations == 0
+        self.unclosed_spans == 0 && self.fold.nesting_violations() == 0
     }
 }
 
-/// Decodes one `events.jsonl` line into a [`ReplayEvent`], validating
-/// the schema [`event_value`](crate::event_value) writes.
-pub fn parse_line(line: &str) -> Result<ReplayEvent, String> {
+/// Decodes one `events.jsonl` line into the [`Event`] it was written
+/// from, validating the schema [`event_value`](crate::event_value)
+/// writes.
+pub fn parse_line(line: &str) -> Result<Event, String> {
     let value = decode::from_str(line).map_err(|e| e.to_string())?;
-    let text = |v: &Value, key: &str| -> Result<String, String> {
-        Ok(v.field(key).map_err(|e| e.to_string())?.as_str().map_err(|e| e.to_string())?.to_owned())
-    };
-    let num = |v: &Value, key: &str| -> Result<u64, String> {
-        v.field(key).map_err(|e| e.to_string())?.as_u64().map_err(|e| e.to_string())
-    };
-    let ty = text(&value, "type")?;
-    let t_us = num(&value, "t_us")?;
-    match ty.as_str() {
-        "enter" => Ok(ReplayEvent::SpanEnter {
-            id: num(&value, "id")?,
-            name: text(&value, "span")?,
-            depth: num(&value, "depth")? as u32,
+    let field = |key: &str| value.field(key).map_err(|e| e.to_string());
+    let text = |key: &str| field(key)?.as_str().map_err(|e| e.to_string());
+    let num = |key: &str| field(key)?.as_u64().map_err(|e| e.to_string());
+    let ty = text("type")?;
+    let t_us = num("t_us")?;
+    let name = |key: &str| text(key).map(|name| name.to_owned().into());
+    match ty {
+        "enter" => Ok(Event::SpanEnter {
+            id: num("id")?,
+            name: name("span")?,
+            depth: num("depth")? as u32,
             t_us,
         }),
-        "exit" => Ok(ReplayEvent::SpanExit {
-            id: num(&value, "id")?,
-            name: text(&value, "span")?,
-            depth: num(&value, "depth")? as u32,
+        "exit" => Ok(Event::SpanExit {
+            id: num("id")?,
+            name: name("span")?,
+            depth: num("depth")? as u32,
             t_us,
-            dur_us: num(&value, "dur_us")?,
+            dur_us: num("dur_us")?,
         }),
-        "counter" => Ok(ReplayEvent::Counter {
-            name: text(&value, "name")?,
-            delta: num(&value, "delta")?,
-            t_us,
-        }),
-        "gauge" => Ok(ReplayEvent::Gauge {
-            name: text(&value, "name")?,
-            value: value
-                .field("value")
-                .map_err(|e| e.to_string())?
-                .as_f64()
-                .map_err(|e| e.to_string())?,
+        "counter" => Ok(Event::Counter { name: name("name")?, delta: num("delta")?, t_us }),
+        "gauge" => Ok(Event::Gauge {
+            name: name("name")?,
+            value: field("value")?.as_f64().map_err(|e| e.to_string())?,
             t_us,
         }),
-        "marker" => Ok(ReplayEvent::Marker {
-            name: text(&value, "name")?,
-            detail: text(&value, "detail")?,
-            t_us,
-        }),
+        "marker" => {
+            Ok(Event::Marker { name: name("name")?, detail: text("detail")?.to_owned(), t_us })
+        }
         other => Err(format!("unknown event type {other:?}")),
     }
-}
-
-/// Open spans within the current leg.
-#[derive(Debug)]
-struct OpenSpan {
-    id: u64,
-    name: String,
-    start_global_us: u64,
-    child_us: u64,
 }
 
 /// Streams `events.jsonl` lines from `reader` and folds them into a
@@ -297,18 +188,12 @@ struct OpenSpan {
 /// is an error.
 pub fn replay<R: BufRead>(mut reader: R) -> Result<RunReplay, ReplayError> {
     let mut out = RunReplay::default();
-    let mut stack: Vec<OpenSpan> = Vec::new();
     let mut last_t_us = 0u64;
     let mut leg_offset_us = 0u64;
     let mut leg_max_t_us = 0u64;
     let mut line_no = 0u64;
     // A line that failed to parse; fatal unless it turns out to be last.
     let mut pending_failure: Option<(u64, String)> = None;
-
-    let close_leg = |stack: &mut Vec<OpenSpan>, out: &mut RunReplay| {
-        out.unclosed_spans += stack.len() as u64;
-        stack.clear();
-    };
 
     let mut buf = Vec::new();
     loop {
@@ -347,7 +232,7 @@ pub fn replay<R: BufRead>(mut reader: R) -> Result<RunReplay, ReplayError> {
             // construction, so any regression marks a process boundary
             // — which is also why a fresh run replaying to `legs == 1`
             // *is* the monotone-`t_us` guarantee.
-            close_leg(&mut stack, &mut out);
+            out.unclosed_spans += out.fold.close_open_spans();
             leg_offset_us += leg_max_t_us + LEG_GAP_US;
             out.legs += 1;
             leg_max_t_us = 0;
@@ -356,56 +241,30 @@ pub fn replay<R: BufRead>(mut reader: R) -> Result<RunReplay, ReplayError> {
         leg_max_t_us = leg_max_t_us.max(t_us);
         let global_t_us = leg_offset_us + t_us;
 
+        let entered_us = out.fold.record(&event);
         match event {
-            ReplayEvent::SpanEnter { id, name, .. } => {
-                stack.push(OpenSpan { id, name, start_global_us: global_t_us, child_us: 0 });
-            }
-            ReplayEvent::SpanExit { id, name, dur_us, depth, .. } => {
-                let (child_us, start_global_us) = match stack.pop() {
-                    Some(open) if open.id == id && open.name == name => {
-                        (open.child_us, open.start_global_us)
-                    }
-                    Some(_) | None => {
-                        out.nesting_violations += 1;
-                        stack.clear();
-                        (0, global_t_us.saturating_sub(dur_us))
-                    }
-                };
-                if let Some(parent) = stack.last_mut() {
-                    parent.child_us = parent.child_us.saturating_add(dur_us);
-                }
-                let stat = phase_mut(&mut out.phases, &name);
-                stat.count += 1;
-                stat.total_us = stat.total_us.saturating_add(dur_us);
-                stat.self_us = stat.self_us.saturating_add(dur_us.saturating_sub(child_us));
-                stat.max_us = stat.max_us.max(dur_us);
-                stat.durations.push(dur_us);
+            Event::SpanEnter { .. } => {}
+            Event::SpanExit { name, dur_us, depth, .. } => {
+                // A span that broke nesting has no enter to anchor it;
+                // it is laid back from its exit instead.
+                let start_us = entered_us
+                    .map_or(global_t_us.saturating_sub(dur_us), |t_us| leg_offset_us + t_us);
                 out.spans.push(SpanRecord {
-                    name,
+                    name: name.into_owned(),
                     leg: out.legs,
-                    start_us: start_global_us,
+                    start_us,
                     dur_us,
                     depth,
                 });
             }
-            ReplayEvent::Counter { name, delta, .. } => {
-                if let Some(entry) = out.counters.iter_mut().find(|(n, _)| *n == name) {
-                    entry.1 = entry.1.saturating_add(delta);
-                } else {
-                    out.counters.push((name.clone(), delta));
-                }
-                out.counter_events.push((name, global_t_us, delta));
+            Event::Counter { name, delta, .. } => {
+                out.counter_events.push((name.into_owned(), global_t_us, delta));
             }
-            ReplayEvent::Gauge { name, value, .. } => {
-                if let Some(entry) = out.gauges.iter_mut().find(|(n, _)| *n == name) {
-                    entry.1 = value;
-                } else {
-                    out.gauges.push((name.clone(), value));
-                }
-                out.gauge_events.push((name, global_t_us, value));
+            Event::Gauge { name, value, .. } => {
+                out.gauge_events.push((name.into_owned(), global_t_us, value));
             }
-            ReplayEvent::Marker { name, detail, .. } => {
-                out.markers.push((name, detail, global_t_us));
+            Event::Marker { name, detail, .. } => {
+                out.markers.push((name.into_owned(), detail, global_t_us));
             }
         }
     }
@@ -415,7 +274,7 @@ pub fn replay<R: BufRead>(mut reader: R) -> Result<RunReplay, ReplayError> {
         // before it already validated, so the replay stands — flagged.
         out.torn_tail = true;
     }
-    close_leg(&mut stack, &mut out);
+    out.unclosed_spans += out.fold.close_open_spans();
     out.wall_us = leg_offset_us.saturating_sub(LEG_GAP_US * (out.legs.saturating_sub(1)) as u64)
         + leg_max_t_us;
     Ok(out)
@@ -429,15 +288,6 @@ pub fn replay_run_dir(dir: &Path) -> Result<RunReplay, ReplayError> {
         message: format!("cannot open {}: {e}", path.display()),
     })?;
     replay(std::io::BufReader::new(file))
-}
-
-fn phase_mut<'a>(phases: &'a mut Vec<(String, PhaseReplay)>, name: &str) -> &'a mut PhaseReplay {
-    if let Some(idx) = phases.iter().position(|(n, _)| n == name) {
-        &mut phases[idx].1
-    } else {
-        phases.push((name.to_owned(), PhaseReplay::default()));
-        &mut phases.last_mut().expect("just pushed").1
-    }
 }
 
 #[cfg(test)]
@@ -559,7 +409,7 @@ mod tests {
     fn mismatched_exit_counts_a_nesting_violation() {
         let log = [enter(1, "a", 1, 0), exit(9, "a", 1, 10, 10)].join("\n");
         let r = replay_text(&format!("{log}\n")).expect("replay");
-        assert_eq!(r.nesting_violations, 1);
+        assert_eq!(r.fold.nesting_violations(), 1);
         assert_eq!(r.phase("a").expect("a").count, 1, "the exit still counts its phase");
     }
 
@@ -578,40 +428,15 @@ mod tests {
         use crate::{event_value, Event};
         use moela_persist::encode;
         let events = [
-            Event::SpanEnter { id: 3, name: "evaluate", depth: 2, t_us: 17 },
-            Event::SpanExit { id: 3, name: "evaluate", depth: 2, t_us: 42, dur_us: 25 },
-            Event::Counter { name: "evaluations", delta: 8, t_us: 43 },
-            Event::Gauge { name: "phv", value: 0.625, t_us: 44 },
-            Event::Marker { name: "run_start", detail: "seed 7".to_owned(), t_us: 1 },
+            Event::SpanEnter { id: 3, name: "evaluate".into(), depth: 2, t_us: 17 },
+            Event::SpanExit { id: 3, name: "evaluate".into(), depth: 2, t_us: 42, dur_us: 25 },
+            Event::Counter { name: "evaluations".into(), delta: 8, t_us: 43 },
+            Event::Gauge { name: "phv".into(), value: 0.625, t_us: 44 },
+            Event::Marker { name: "run_start".into(), detail: "seed 7".to_owned(), t_us: 1 },
         ];
-        for event in &events {
-            let line = encode::to_string(&event_value(event));
-            let replayed = parse_line(&line).expect("round trip");
-            match (event, &replayed) {
-                (
-                    Event::SpanEnter { id, name, depth, t_us },
-                    ReplayEvent::SpanEnter { id: i, name: n, depth: d, t_us: t },
-                ) => assert_eq!((id, *name, depth, t_us), (i, n.as_str(), d, t)),
-                (
-                    Event::SpanExit { id, name, dur_us, .. },
-                    ReplayEvent::SpanExit { id: i, name: n, dur_us: du, .. },
-                ) => assert_eq!((id, *name, dur_us), (i, n.as_str(), du)),
-                (
-                    Event::Counter { name, delta, .. },
-                    ReplayEvent::Counter { name: n, delta: d, .. },
-                ) => assert_eq!((*name, delta), (n.as_str(), d)),
-                (
-                    Event::Gauge { name, value, .. },
-                    ReplayEvent::Gauge { name: n, value: v, .. },
-                ) => {
-                    assert_eq!((*name, value), (n.as_str(), v))
-                }
-                (
-                    Event::Marker { name, detail, .. },
-                    ReplayEvent::Marker { name: n, detail: d, .. },
-                ) => assert_eq!((*name, detail), (n.as_str(), d)),
-                (written, got) => panic!("variant changed in replay: {written:?} -> {got:?}"),
-            }
+        for event in events {
+            let line = encode::to_string(&event_value(&event));
+            assert_eq!(parse_line(&line), Ok(event));
         }
     }
 

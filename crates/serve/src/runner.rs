@@ -11,12 +11,11 @@
 //! hiccup or an exhausted fault budget (retry it with backoff).
 
 use std::path::Path;
-use std::sync::{Arc, Mutex};
 
 use moela_moo::checkpoint::CancelToken;
-use moela_obs::MetricsAggregator;
 use moela_persist::Value;
 
+use crate::job::LiveMetrics;
 use crate::supervise::Heartbeat;
 
 /// Everything a runner gets for one job execution.
@@ -40,7 +39,7 @@ pub struct JobContext<'a> {
     pub heartbeat: &'a Heartbeat,
     /// Slot the runner fills with its live metrics aggregator so
     /// `GET /jobs/{id}` can report in-flight progress.
-    pub live: &'a Mutex<Option<Arc<Mutex<MetricsAggregator>>>>,
+    pub live: &'a LiveMetrics,
 }
 
 /// How one job execution ended (errors are the `Err` channel).

@@ -14,6 +14,9 @@ cargo fmt --all -- --check
 
 echo "==> cargo clippy (deny warnings)"
 cargo clippy --workspace --all-targets -- -D warnings
+# The delta-fault feature (a deliberately broken delta path for the
+# conformance harness) is compiled only by smoke.sh's test run otherwise.
+cargo clippy -p moela-manycore --all-targets --features delta-fault -- -D warnings
 
 echo "==> cargo doc (deny warnings)"
 RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps
